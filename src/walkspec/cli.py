@@ -162,13 +162,17 @@ def _config(ns: argparse.Namespace) -> RunConfig:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="ascii") as f:
             return f.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(
+            f"{path}: undecodable byte 0x{exc.object[exc.start]:02x} at byte "
+            f"offset {exc.start}") from None
 
 
 def _load_graph(cfg: RunConfig) -> Graph:

@@ -16,7 +16,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import numtheory
-from .graphs import Graph, complement, degree_vector, is_connected
+from .graphs import Graph, degree_vector, is_connected
 from .linalg import IntMatrix, charpoly, det_bareiss, rank_mod_p
 
 
@@ -81,31 +81,30 @@ def alpha_matrix(g: Graph, alpha: AlphaParam) -> IntMatrix:
                        for j in range(g.n)] for i in range(g.n)])
 
 
+def _power_columns(m: IntMatrix, v: list[int], kmax: int) -> list[list[int]]:
+    """The vectors v, M v, ..., M^kmax v (just v when kmax < 1)."""
+    cols = [v]
+    for _ in range(kmax):
+        v = list(m.matvec(v))
+        cols.append(v)
+    return cols
+
+
 def walk_matrix(g: Graph, alpha: AlphaParam) -> IntMatrix:
     """Normalized walk matrix: columns 1, M1/c, ..., M^(n-1)1/c for the
     scaled matrix M. Integral for every graph since M1 = c*d."""
     n = g.n
     cols: list[list[int]] = [[1] * n]
     if n > 1:
-        m = alpha_matrix(g, alpha)
-        v = list(degree_vector(g))
-        cols.append(v)
-        for _ in range(n - 2):
-            v = list(m.matvec(v))
-            cols.append(v)
+        cols += _power_columns(alpha_matrix(g, alpha), list(degree_vector(g)), n - 2)
     return IntMatrix.from_columns(cols)
 
 
 def raw_walk_matrix(g: Graph, alpha: AlphaParam) -> IntMatrix:
     """Unscaled walk matrix: columns 1, M1, M^2 1, ..., M^(n-1) 1."""
     n = g.n
-    m = alpha_matrix(g, alpha)
-    v = [1] * n
-    cols = [v]
-    for _ in range(n - 1):
-        v = list(m.matvec(v))
-        cols.append(v)
-    return IntMatrix.from_columns(cols)
+    return IntMatrix.from_columns(
+        _power_columns(alpha_matrix(g, alpha), [1] * n, n - 1))
 
 
 class AuxWalkMatrices(NamedTuple):
@@ -125,11 +124,9 @@ def auxiliary_walk_matrices(g: Graph, alpha: AlphaParam) -> AuxWalkMatrices:
     n = g.n
     if n < 2:
         raise ValueError("auxiliary walk matrices need at least 2 vertices")
-    m = alpha_matrix(g, alpha)
     # power_cols[k] = M^k 1 / c  (computed as M^(k-1) d for k >= 1)
-    power_cols: list[list[int]] = [[1] * n, list(degree_vector(g))]
-    for _ in range(n - 2):
-        power_cols.append(list(m.matvec(power_cols[-1])))
+    power_cols = [[1] * n] + _power_columns(
+        alpha_matrix(g, alpha), list(degree_vector(g)), n - 2)
     if n % 2 == 0:
         half_exps = range(0, n // 2)
         even_exps = range(0, n, 2)
@@ -145,27 +142,55 @@ def auxiliary_walk_matrices(g: Graph, alpha: AlphaParam) -> AuxWalkMatrices:
 
 def walk_moments(g: Graph, alpha: AlphaParam, kmax: int) -> list[int]:
     """Quadratic forms 1^T M^k 1 of the scaled matrix for k = 0..kmax."""
-    m = alpha_matrix(g, alpha)
-    v = [1] * g.n
-    out = [sum(v)]
-    for _ in range(kmax):
-        v = list(m.matvec(v))
-        out.append(sum(v))
-    return out
+    return [sum(v) for v in _power_columns(alpha_matrix(g, alpha), [1] * g.n, kmax)]
 
 
 class SpectrumKey(NamedTuple):
     """Characteristic polynomials (ascending coefficients) of the scaled
     matrix for the graph and for its complement; equal keys mean equal
-    generalized alpha-spectra."""
+    generalized alpha-spectra.
+
+    spectrum_key computes poly directly and derives poly_complement from
+    poly and the walk moments; see there.
+    """
 
     poly: tuple[int, ...]
     poly_complement: tuple[int, ...]
 
 
 def spectrum_key(g: Graph, alpha: AlphaParam) -> SpectrumKey:
-    return SpectrumKey(charpoly(alpha_matrix(g, alpha)),
-                       charpoly(alpha_matrix(complement(g), alpha)))
+    """Spectrum key from one characteristic polynomial and n walk moments.
+
+    The complement's scaled matrix is s*I + b*J - M with s = a(n-1) - b, so
+    its characteristic polynomial is (-1)^n q(s - x), where, by the matrix
+    determinant lemma, q(y) = det(yI - M + bJ) = p(y) + b 1^T adj(yI - M) 1
+    for p = charpoly(M). Cayley-Hamilton gives
+    adj(yI - M) = sum_{i=1..n} p_i sum_{k<i} y^(i-1-k) M^k, so the second
+    term needs only the moments mu_k = 1^T M^k 1. All of it is integer
+    arithmetic, and the result equals charpoly(alpha_matrix(complement(g))).
+    """
+    n = g.n
+    m = alpha_matrix(g, alpha)
+    p = charpoly(m)
+    mu = [sum(v) for v in _power_columns(m, [1] * n, n - 1)]
+    return SpectrumKey(p, _complement_charpoly(p, mu, alpha))
+
+
+def _complement_charpoly(p: tuple[int, ...], mu: list[int],
+                         alpha: AlphaParam) -> tuple[int, ...]:
+    """(-1)^n q(s - x) from p and the moments; see spectrum_key."""
+    n = len(p) - 1
+    b = alpha.b
+    q = list(p)
+    for i in range(1, n + 1):
+        bp = b * p[i]
+        for k in range(i):
+            q[i - 1 - k] += bp * mu[k]
+    s = alpha.a * (n - 1) - b
+    for i in range(n):  # Taylor shift: q(y) becomes q(y + s)
+        for j in range(n - 1, i - 1, -1):
+            q[j] += s * q[j + 1]
+    return tuple(c if (n - t) % 2 == 0 else -c for t, c in enumerate(q))
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,13 @@ def _decode_order(data: bytes) -> tuple[int, int]:
 def parse_graph6(text: str | bytes) -> Graph:
     """Decode one graph6 line (an optional '>>graph6<<' prefix is accepted)."""
     if isinstance(text, str):
-        data = text.strip().encode("ascii", errors="replace")
+        text = text.strip()
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise GraphParseError(
+                f"non-ASCII character {text[exc.start]!r} at offset {exc.start}"
+            ) from None
     else:
         data = bytes(text).strip()
     if data.startswith(b">>graph6<<"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import numtheory
@@ -260,23 +261,27 @@ def charpoly(m: IntMatrix) -> tuple[int, ...]:
     """Coefficients (c0, ..., cn) of det(xI - m), cn = 1, by trace recursion.
 
     Step k divides the running trace by k; the quotient is exact because the
-    coefficients are integers for any integer matrix.
+    coefficients are integers for any integer matrix. The running product
+    lives in plain row lists, and adding c*I touches only its diagonal.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.rows
+    rows = m._data
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    work = IntMatrix.identity(n)
+    work = [list(r) for r in rows]  # m @ I
     for k in range(1, n + 1):
-        work = m @ work
-        t = work.trace()
+        t = sum(work[i][i] for i in range(n))
         if t % k:
             raise AssertionError("trace recursion divided inexactly")
         c = -(t // k)
         coeffs[n - k] = c
         if k < n:
-            work = work + IntMatrix.identity(n).scaled(c)
+            for i in range(n):
+                work[i][i] += c
+            cols = list(zip(*work))
+            work = [[sum(map(mul, r, col)) for col in cols] for r in rows]
     return tuple(coeffs)
 
 

@@ -55,10 +55,10 @@ def level(u: RationalMatrix) -> int:
     return u.denominator_lcm()
 
 
-def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateClass]:
-    """Group graphs of one fixed order by spectrum key, one representative
-    per isomorphism class, classes sorted by key and members by canonical
-    form."""
+def _keyed_pool(graphs: Iterable[Graph],
+                alpha: AlphaParam) -> list[tuple[Graph, SpectrumKey, bytes]]:
+    """(graph, spectrum key, canonical form) for every graph of one order,
+    each computed once; the grouping functions below share this pass."""
     pool = list(graphs)
     if not pool:
         return []
@@ -67,12 +67,13 @@ def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateCl
         raise ValueError("all graphs must have the same order")
     if n > CANONICAL_CAP:
         raise ValueError(f"mate search supports at most {CANONICAL_CAP} vertices")
+    return [(g, spectrum_key(g, alpha), canonical_form(g)) for g in pool]
+
+
+def _mate_classes(keyed: list[tuple[Graph, SpectrumKey, bytes]]) -> list[MateClass]:
     groups: dict[SpectrumKey, dict[bytes, Graph]] = {}
-    for g in pool:
-        key = spectrum_key(g, alpha)
-        reps = groups.setdefault(key, {})
-        form = canonical_form(g)
-        reps.setdefault(form, g)
+    for g, key, form in keyed:
+        groups.setdefault(key, {}).setdefault(form, g)
     out = []
     for key in sorted(groups):
         reps = groups[key]
@@ -81,20 +82,11 @@ def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateCl
     return out
 
 
-def plain_cospectral_only_classes(graphs: Iterable[Graph],
-                                  alpha: AlphaParam) -> list[tuple[Graph, ...]]:
-    """Groups cospectral for the graph polynomial alone but split by the
-    complement polynomial; informational companion to find_mate_classes."""
-    pool = list(graphs)
-    if not pool:
-        return []
-    n = pool[0].n
-    if any(g.n != n for g in pool):
-        raise ValueError("all graphs must have the same order")
+def _plain_only_classes(keyed: list[tuple[Graph, SpectrumKey, bytes]]
+                        ) -> list[tuple[Graph, ...]]:
     by_poly: dict[tuple[int, ...], dict[bytes, tuple[Graph, SpectrumKey]]] = {}
-    for g in pool:
-        key = spectrum_key(g, alpha)
-        by_poly.setdefault(key.poly, {}).setdefault(canonical_form(g), (g, key))
+    for g, key, form in keyed:
+        by_poly.setdefault(key.poly, {}).setdefault(form, (g, key))
     out = []
     for poly in sorted(by_poly):
         reps = by_poly[poly]
@@ -104,6 +96,20 @@ def plain_cospectral_only_classes(graphs: Iterable[Graph],
         if len(keys) > 1:
             out.append(tuple(reps[form][0] for form in sorted(reps)))
     return out
+
+
+def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateClass]:
+    """Group graphs of one fixed order by spectrum key, one representative
+    per isomorphism class, classes sorted by key and members by canonical
+    form."""
+    return _mate_classes(_keyed_pool(graphs, alpha))
+
+
+def plain_cospectral_only_classes(graphs: Iterable[Graph],
+                                  alpha: AlphaParam) -> list[tuple[Graph, ...]]:
+    """Groups cospectral for the graph polynomial alone but split by the
+    complement polynomial; informational companion to find_mate_classes."""
+    return _plain_only_classes(_keyed_pool(graphs, alpha))
 
 
 def build_U(g: Graph, h: Graph, alpha: AlphaParam) -> OrthogonalCertificate:
@@ -175,9 +181,9 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
     """Check every certified graph sits alone in its mate class and every
     built certificate obeys the expected level arithmetic."""
     pool = list(graphs)
-    classes = tuple(find_mate_classes(pool, alpha))
+    keyed = _keyed_pool(pool, alpha)
+    classes = tuple(_mate_classes(keyed))
     verdicts: list[tuple[str, Verdict]] = []
-    reports: dict[str, CriterionReport] = {}
     counterexamples: list[str] = []
     certified: list[str] = []
     nontrivial: list[int] = []
@@ -187,10 +193,11 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
         size = len(cls.members)
         if size > 1:
             nontrivial.append(idx)
+        reports: list[CriterionReport] = []
         for g in cls.members:
             g6 = encode_graph6(g)
             rep = criterion_check(g, alpha, factor_effort=factor_effort)
-            reports[g6] = rep
+            reports.append(rep)
             verdicts.append((g6, rep.verdict))
             if rep.verdict == Verdict.CERTIFIED_DGAS:
                 certified.append(g6)
@@ -202,13 +209,11 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
         if size > 1:
             for i in range(size):
                 for j in range(i + 1, size):
-                    g, h = cls.members[i], cls.members[j]
-                    if (det_bareiss(walk_matrix(g, alpha)) == 0
-                            or det_bareiss(walk_matrix(h, alpha)) == 0):
+                    if reports[i].det_walk == 0 or reports[j].det_walk == 0:
                         skipped += 1
                         continue
+                    g, h = cls.members[i], cls.members[j]
                     cert = build_U(g, h, alpha)
-                    g6 = cert.source
                     last = smith_divisors(walk_matrix(g, alpha))[-1]
                     divides = last % cert.level == 0
                     if not divides:
@@ -216,7 +221,7 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
                             f"level {cert.level} of pair {cert.source} -> "
                             f"{cert.target} does not divide the last Smith "
                             f"divisor {last}")
-                    src_ok = reports[g6].arithmetic_ok
+                    src_ok = reports[i].arithmetic_ok
                     no_odd: bool | None = None
                     if src_ok:
                         no_odd = _odd_part_is_one(cert.level)
@@ -231,7 +236,7 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
                         source_arithmetic_ok=src_ok,
                         no_odd_prime_in_level=no_odd))
     plain = tuple(tuple(encode_graph6(g) for g in grp)
-                  for grp in plain_cospectral_only_classes(pool, alpha))
+                  for grp in _plain_only_classes(keyed))
     return VerificationReport(
         alpha=alpha, graph_count=len(pool), classes=classes,
         verdicts=tuple(verdicts), certified=tuple(certified),

@@ -258,6 +258,25 @@ def test_usage_errors(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_non_ascii_inline_graph_is_a_parse_error(capsys):
+    code, out, err = _run(capsys, "check", "--alpha", "1/2", "--graph",
+                          "Dq\u00e9")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "offset 2" in err
+
+
+def test_non_ascii_file_byte_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"DqK\nDq\xc3\n")
+    for command in ("check", "batch"):
+        code, out, err = _run(capsys, command, "--alpha", "1/2", str(path))
+        assert code == EXIT_USAGE, command
+        assert out == ""
+        assert err.startswith("error:"), command
+        assert "0xc3" in err and "offset 6" in err, command
+
+
 def test_reserved_flags_accepted(capsys):
     code, _, _ = _run(capsys, "check", "--alpha", "0", "--graph", "E@Uw",
                       "--seed", "7", "--threads", "3")

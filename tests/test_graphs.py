@@ -147,6 +147,16 @@ def test_parse_rejects_nonzero_padding_named_offset():
     assert "padding" in str(exc.value)
 
 
+def test_parse_rejects_non_ascii_text_named_offset():
+    # 'e' with an acute accent must not be replaced by '?' and parsed as Dq?
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph6("Dq\u00e9")
+    assert "offset 2" in str(exc.value)
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph6("  \u00e9Dq")
+    assert "offset 0" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # edge list format
 # ---------------------------------------------------------------------------

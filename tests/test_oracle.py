@@ -184,6 +184,37 @@ def test_verify_theorem_exercises_pair_checks():
     assert pc.no_odd_prime_in_level is None
 
 
+def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
+    # keys and canonical forms come from one pass over the pool, and the
+    # mate-pair loop reads walk determinants from the criterion reports;
+    # only build_U's own guards and the Smith divisors recompute anything
+    import walkspec.oracle as oracle
+    calls = {"spectrum_key": 0, "canonical_form": 0, "walk_matrix": 0,
+             "det_bareiss": 0}
+
+    def counted(name):
+        original = getattr(oracle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    src, dst, alpha, _, _ = KNOWN_PAIRS[0]
+    pool = [parse_graph6(src), parse_graph6(dst), parse_graph6("G?????"),
+            parse_graph6("G~~~~{")]
+    report = verify_theorem(pool, alpha)
+    assert report.ok
+    pairs = len(report.pair_checks)
+    assert pairs == 1
+    assert calls == {"spectrum_key": len(pool) + 2 * pairs,
+                     "canonical_form": len(pool),
+                     "walk_matrix": 2 * pairs,
+                     "det_bareiss": pairs}
+
+
 def test_verification_json_shape():
     report = verify_theorem(list(enumerate_graphs(4)), ALPHA_ZERO)
     payload = verification_to_json(report)

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import numtheory
@@ -58,7 +57,6 @@ class RunConfig:
     fmt: str
     output: str
     effort: int
-    threads: int
     seed: int | None
     order: int | None = None
     connected_only: bool = False
@@ -66,6 +64,17 @@ class RunConfig:
 
 def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get(f"WALKSPEC_{name}", fallback)
+
+
+def _env_int(name: str, fallback: int | None) -> int | None:
+    """Integer default from WALKSPEC_<name>; unset or empty gives fallback."""
+    text = _env(name)
+    if not text:
+        return fallback
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad WALKSPEC_{name} {text!r}: not an integer") from None
 
 
 def _build_parser() -> _Parser:
@@ -86,13 +95,12 @@ def _build_parser() -> _Parser:
                        default=_env("OUTPUT", "table"),
                        help="report rendering (default table)")
         p.add_argument("--effort", type=int,
-                       default=int(_env("EFFORT", str(numtheory.DEFAULT_FACTOR_EFFORT))),
+                       default=_env_int("EFFORT", numtheory.DEFAULT_FACTOR_EFFORT),
                        help="factorization effort cap (rho iterations)")
-        p.add_argument("--threads", type=int,
-                       default=int(_env("THREADS", "1")),
-                       help="worker threads for batch evaluation")
-        p.add_argument("--seed", type=int,
-                       default=(int(_env("SEED")) if _env("SEED") else None),
+        p.add_argument("--threads", type=int, default=_env_int("THREADS", 1),
+                       help="worker count (reserved; every command runs in "
+                            "one thread)")
+        p.add_argument("--seed", type=int, default=_env_int("SEED", None),
                        help="random seed (reserved; all commands are "
                             "deterministic)")
 
@@ -142,8 +150,7 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         alpha = AlphaParam.parse(ns.alpha)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --alpha {ns.alpha!r}: {exc}") from None
-    threads = getattr(ns, "threads", 1)
-    if threads < 1:
+    if ns.threads < 1:
         raise UsageError("--threads must be at least 1")
     if getattr(ns, "effort", 0) < 0:
         raise UsageError("--effort must be nonnegative")
@@ -154,7 +161,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         fmt=ns.fmt,
         output=ns.output,
         effort=ns.effort,
-        threads=threads,
         seed=ns.seed,
         order=getattr(ns, "order", None),
         connected_only=getattr(ns, "connected_only", False),
@@ -229,34 +235,24 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_batch(cfg: RunConfig) -> int:
     text = _read_text(cfg.input_path)
-    lines = text.splitlines()
-
-    def work(item: tuple[int, str]) -> tuple[dict, str | None]:
-        lineno, line = item
-        try:
-            g = parse_graph6(line)
-            rec = report_to_json(
-                criterion_check(g, cfg.alpha, factor_effort=cfg.effort))
-            rec["line"] = lineno
-            return rec, rec["verdict"]
-        except (GraphParseError, ValueError) as exc:
-            return {"schema": 1, "line": lineno, "error": str(exc)}, None
-
-    items = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
-    if cfg.threads == 1:
-        results = [work(it) for it in items]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(work, items))
     counts: dict[str, int] = {}
-    errors = 0
-    for rec, verdict in results:
-        print(json.dumps(rec, separators=(",", ":")))
-        if verdict is None:
+    total = errors = 0
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        total += 1
+        try:
+            rec = report_to_json(
+                criterion_check(parse_graph6(line), cfg.alpha,
+                                factor_effort=cfg.effort))
+        except (GraphParseError, ValueError) as exc:
+            rec = {"schema": 1, "line": lineno, "error": str(exc)}
             errors += 1
         else:
-            counts[verdict] = counts.get(verdict, 0) + 1
-    summary = {"schema": 1, "summary": True, "total": len(items),
+            rec["line"] = lineno
+            counts[rec["verdict"]] = counts.get(rec["verdict"], 0) + 1
+        print(json.dumps(rec, separators=(",", ":")))
+    summary = {"schema": 1, "summary": True, "total": total,
                "errors": errors,
                "verdicts": {k: counts[k] for k in sorted(counts)}}
     print(json.dumps(summary, separators=(",", ":")))
@@ -367,9 +363,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         cfg = _config(ns)
         return _COMMANDS[ns.command](cfg)
     except UsageError as exc:

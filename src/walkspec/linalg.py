@@ -1,23 +1,22 @@
-"""Exact linear algebra over arbitrary-precision integers and rationals.
+"""Exact linear algebra over arbitrary-precision integers.
 
-Everything here is pure bigint/Fraction arithmetic: fraction-free determinants,
-integer characteristic polynomials, ranks over prime fields, Smith normal forms
-with unimodular transforms, and exact rational inverses. No floating point.
+Everything here is pure bigint arithmetic: fraction-free determinants and
+linear solves, integer characteristic polynomials, ranks over prime fields,
+and Smith normal forms with unimodular transforms. No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import numtheory
 
 
 class SingularMatrixError(ArithmeticError):
-    """Inversion was requested for a matrix with zero determinant."""
+    """A solve was requested for a matrix with zero determinant."""
 
 
 class IntMatrix:
@@ -129,105 +128,14 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
-class RationalMatrix:
-    """Immutable dense matrix of Fractions (always in lowest terms)."""
-
-    __slots__ = ("rows", "cols", "_data")
-
-    def __init__(self, data: Sequence[Sequence[Fraction | int]]):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        packed = []
-        for r in data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            packed.append(tuple(Fraction(x) for x in r))
-        self.rows = rows
-        self.cols = cols
-        self._data = tuple(packed)
-
-    @classmethod
-    def identity(cls, n: int) -> RationalMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_int_matrix(cls, m: IntMatrix) -> RationalMatrix:
-        return cls(m.to_lists())
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self._data[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._data[i]
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._data]
-
-    def transpose(self) -> RationalMatrix:
-        return RationalMatrix([[self._data[i][j] for i in range(self.rows)]
-                               for j in range(self.cols)])
-
-    def __matmul__(self, other: RationalMatrix | IntMatrix) -> RationalMatrix:
-        if isinstance(other, IntMatrix):
-            other = RationalMatrix.from_int_matrix(other)
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        bt = other.transpose()._data
-        return RationalMatrix([[sum(x * y for x, y in zip(r, c)) for c in bt]
-                               for r in self._data])
-
-    def __rmatmul__(self, other: IntMatrix) -> RationalMatrix:
-        return RationalMatrix.from_int_matrix(other) @ self
-
-    def matvec(self, v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        vv = [Fraction(x) for x in v]
-        if len(vv) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(x * y for x, y in zip(r, vv)) for r in self._data)
-
-    def is_identity(self) -> bool:
-        return (self.is_square and
-                all(self._data[i][j] == (1 if i == j else 0)
-                    for i in range(self.rows) for j in range(self.cols)))
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self._data for x in r)
-
-    def to_int_matrix(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in r] for r in self._data])
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for r in self._data:
-            for x in r:
-                out = lcm(out, x.denominator)
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RationalMatrix) and self._data == other._data
-                and self.cols == other.cols)
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self._data))
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({[[str(x) for x in r] for r in self._data]!r})"
-
-
 # ---------------------------------------------------------------------------
 # determinant and characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
 def det_bareiss(m: IntMatrix) -> int:
-    """Fraction-free Gaussian elimination; every interior division is exact."""
+    """Bareiss's fraction-free Gaussian elimination; every interior division
+    is exact."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
     n = m.rows
@@ -255,6 +163,40 @@ def det_bareiss(m: IntMatrix) -> int:
             row[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def solve_fraction_free(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det a, X) with a @ X == det(a) * b, so X = adj(a) @ b.
+
+    Gauss-Jordan form of Bareiss's elimination on the augmented rows [a | b]:
+    step k clears column k above and below the pivot, and every interior
+    division by the previous pivot is exact. Raises SingularMatrixError when
+    det a = 0.
+    """
+    if not a.is_square or a.rows != b.rows:
+        raise ValueError("solve requires a square matrix and a right side "
+                         "with as many rows")
+    n = a.rows
+    rows = [list(ra + rb) for ra, rb in zip(a._data, b._data)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                raise SingularMatrixError("matrix is singular")
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for i in range(n):
+            if i != k:
+                lead = rows[i][k]
+                rows[i] = [(x * pivot - lead * y) // prev
+                           for x, y in zip(rows[i], top)]
+        prev = pivot
+    # every diagonal entry is now det of the row-swapped a, i.e. sign * det a
+    return sign * prev, IntMatrix([[sign * x for x in r[n:]] for r in rows])
 
 
 def charpoly(m: IntMatrix) -> tuple[int, ...]:
@@ -578,24 +520,3 @@ def congruence_solvable(m: IntMatrix, p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     last = smith_divisors(m)[-1]
     return last % (p * p) == 0
-
-
-def rational_inverse(m: IntMatrix) -> RationalMatrix:
-    """Exact inverse over the rationals; raises SingularMatrixError if det = 0."""
-    if not m.is_square:
-        raise ValueError("inverse requires a square matrix")
-    n = m.rows
-    aug = [[Fraction(m[i, j]) for j in range(n)] +
-           [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return RationalMatrix([row[n:] for row in aug])

@@ -2,8 +2,9 @@
 
 A mate class groups non-isomorphic graphs sharing a generalized alpha
 spectrum. For a mate pair with nonsingular walk matrices there is a unique
-rational orthogonal U with U^T W(G) = W(H); its level (the lcm of its entry
-denominators) is 1 exactly when U is a permutation, i.e. when the graphs are
+rational orthogonal U with U^T W(G) = W(H). It is kept as an integer matrix
+over one common denominator, its level (the lcm of the entry denominators),
+which is 1 exactly when U is a permutation, i.e. when the graphs are
 isomorphic. verify_theorem cross-checks the certification verdicts against
 an exhaustive search and the level arithmetic against the walk matrix's last
 Smith divisor.
@@ -12,16 +13,15 @@ Smith divisor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
-from . import numtheory
 from .criterion import (AlphaParam, CriterionReport, SpectrumKey, Verdict,
-                        alpha_matrix, criterion_check, raw_walk_matrix,
-                        spectrum_key, walk_matrix)
-from .graphs import (CANONICAL_CAP, Graph, canonical_form, encode_graph6,
-                     enumerate_graphs)
-from .linalg import (IntMatrix, RationalMatrix, SingularMatrixError,
-                     det_bareiss, rational_inverse, smith_divisors)
+                        alpha_matrix, criterion_check, spectrum_key,
+                        walk_matrix)
+from .graphs import CANONICAL_CAP, Graph, canonical_form, encode_graph6
+from .linalg import IntMatrix, smith_divisors, solve_fraction_free
 
 
 class CertificateError(RuntimeError):
@@ -42,17 +42,13 @@ class MateClass:
 
 @dataclass(frozen=True)
 class OrthogonalCertificate:
-    """Unique rational orthogonal U with U^T W(source) = W(target)."""
+    """Unique rational orthogonal U with U^T W(source) = W(target), as
+    U = matrix / level with level >= 1 and gcd(level, entries) = 1."""
 
-    matrix: RationalMatrix
+    matrix: IntMatrix
     level: int
     source: str  # graph6 of the source graph
     target: str  # graph6 of the target graph
-
-
-def level(u: RationalMatrix) -> int:
-    """Lcm of the denominators of the entries (all in lowest terms)."""
-    return u.denominator_lcm()
 
 
 def _keyed_pool(graphs: Iterable[Graph],
@@ -114,29 +110,40 @@ def plain_cospectral_only_classes(graphs: Iterable[Graph],
 
 def build_U(g: Graph, h: Graph, alpha: AlphaParam) -> OrthogonalCertificate:
     """Solve U^T W(g) = W(h) for the unique rational orthogonal U and verify
-    it exactly: U^T U = I, U 1 = 1, U^T M(g) U = M(h)."""
+    it exactly: U^T U = I, U 1 = 1, U^T M(g) U = M(h). Raises
+    SingularMatrixError when W(g) is singular."""
     if g.n != h.n:
         raise ValueError("graphs must have the same order")
     if spectrum_key(g, alpha) != spectrum_key(h, alpha):
         raise ValueError("graphs do not share a spectrum key")
-    if det_bareiss(walk_matrix(g, alpha)) == 0:
-        raise SingularMatrixError("walk matrix of the source graph is singular")
-    wg = raw_walk_matrix(g, alpha)
-    wh = raw_walk_matrix(h, alpha)
-    ut = RationalMatrix.from_int_matrix(wh) @ rational_inverse(wg)
-    u = ut.transpose()
-    if not (ut @ u).is_identity():
+    return _certificate(g, h, walk_matrix(g, alpha), walk_matrix(h, alpha), alpha)
+
+
+def _certificate(g: Graph, h: Graph, wg: IntMatrix, wh: IntMatrix,
+                 alpha: AlphaParam) -> OrthogonalCertificate:
+    """build_U past its guards, given the normalized walk matrices.
+
+    The raw walk matrix is the normalized one times diag(1, c, ..., c), which
+    cancels from U^T W(g) = W(h); so W(g)^T U = W(h)^T, and the fraction-free
+    solve gives U = X / det W(g), reduced here to lowest terms. The three
+    identities are checked on the numerators, scaled by level^2 or level.
+    """
+    det, x = solve_fraction_free(wg.transpose(), wh.transpose())
+    rows = x.to_lists()
+    common = gcd(det, *(v for r in rows for v in r))
+    if det < 0:
+        common = -common
+    u = IntMatrix([[v // common for v in r] for r in rows])
+    lev = det // common
+    ut = u.transpose()
+    if ut @ u != IntMatrix.identity(g.n).scaled(lev * lev):
         raise CertificateError("certificate is not orthogonal")
-    ones = [1] * g.n
-    if u.matvec(ones) != tuple(ones):
+    if u.matvec([1] * g.n) != (lev,) * g.n:
         raise CertificateError("certificate does not fix the all-ones vector")
-    mg = RationalMatrix.from_int_matrix(alpha_matrix(g, alpha))
-    mh = RationalMatrix.from_int_matrix(alpha_matrix(h, alpha))
-    if ut @ mg @ u != mh:
+    if ut @ alpha_matrix(g, alpha) @ u != alpha_matrix(h, alpha).scaled(lev * lev):
         raise CertificateError("certificate does not conjugate the scaled matrices")
     return OrthogonalCertificate(
-        matrix=u, level=level(u),
-        source=encode_graph6(g), target=encode_graph6(h))
+        matrix=u, level=lev, source=encode_graph6(g), target=encode_graph6(h))
 
 
 @dataclass(frozen=True)
@@ -207,14 +214,19 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
                         f"certified graph {g6} shares its spectrum key with "
                         f"{', '.join(others)}")
         if size > 1:
+            # class membership already proves equal keys, and each member
+            # of a nonsingular pair gets its W built once, for all its pairs
+            live = [i for i, rep in enumerate(reports) if rep.det_walk != 0]
+            walks = ({i: walk_matrix(cls.members[i], alpha) for i in live}
+                     if len(live) > 1 else {})
             for i in range(size):
                 for j in range(i + 1, size):
-                    if reports[i].det_walk == 0 or reports[j].det_walk == 0:
+                    if i not in walks or j not in walks:
                         skipped += 1
                         continue
-                    g, h = cls.members[i], cls.members[j]
-                    cert = build_U(g, h, alpha)
-                    last = smith_divisors(walk_matrix(g, alpha))[-1]
+                    cert = _certificate(cls.members[i], cls.members[j],
+                                        walks[i], walks[j], alpha)
+                    last = smith_divisors(walks[i])[-1]
                     divides = last % cert.level == 0
                     if not divides:
                         counterexamples.append(
@@ -247,7 +259,7 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
 
 def verification_to_json(report: VerificationReport) -> dict:
     """JSON-ready dict; polynomial coefficients and levels as decimal
-    strings, certificate entries as num/den strings."""
+    strings, certificate entries as num/den strings in lowest terms."""
     def poly(p: Sequence[int]) -> list[str]:
         return [str(c) for c in p]
 
@@ -260,17 +272,17 @@ def verification_to_json(report: VerificationReport) -> dict:
         })
     pairs = []
     for pc in report.pair_checks:
-        u = pc.certificate.matrix
+        cert = pc.certificate
         pairs.append({
-            "source": pc.certificate.source,
-            "target": pc.certificate.target,
-            "level": str(pc.certificate.level),
+            "source": cert.source,
+            "target": cert.target,
+            "level": str(cert.level),
             "last_divisor": str(pc.last_divisor),
             "level_divides_last_divisor": pc.level_divides_last_divisor,
             "source_arithmetic_ok": pc.source_arithmetic_ok,
             "no_odd_prime_in_level": pc.no_odd_prime_in_level,
-            "matrix": [[str(u[i, j]) for j in range(u.cols)]
-                       for i in range(u.rows)],
+            "matrix": [[str(Fraction(x, cert.level)) for x in row]
+                       for row in cert.matrix.to_lists()],
         })
     return {
         "schema": 1,

@@ -231,6 +231,16 @@ def test_env_defaults(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["verdict"] == "UNDECIDED_FACTORIZATION"
 
 
+def test_malformed_integer_env_is_a_usage_error(capsys, monkeypatch):
+    for name in ("EFFORT", "THREADS", "SEED"):
+        monkeypatch.setenv(f"WALKSPEC_{name}", "abc")
+        code, out, err = _run(capsys, "check", "--alpha", "0", "--graph", "E@Uw")
+        assert code == EXIT_USAGE, name
+        assert out == ""
+        assert err.startswith("error:") and f"WALKSPEC_{name}" in err, name
+        monkeypatch.delenv(f"WALKSPEC_{name}")
+
+
 def test_usage_errors(capsys, tmp_path):
     cases = [
         ("check", "--graph", "Bw"),                        # no alpha anywhere

@@ -1,23 +1,21 @@
 """Exact linear algebra kernels checked against independent small oracles."""
 
 import random
-from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
 from walkspec.linalg import (
     IntMatrix,
-    RationalMatrix,
     SingularMatrixError,
     charpoly,
     congruence_solvable,
     det_bareiss,
     poly_eval,
     rank_mod_p,
-    rational_inverse,
     smith_divisors,
     smith_normal_form,
+    solve_fraction_free,
 )
 
 
@@ -99,29 +97,6 @@ def test_int_matrix_equality_and_hash():
     assert a != [[1, 2], [3, 4]]
     assert hash(a) == hash(IntMatrix([[1, 2], [3, 4]]))
     assert len({a, IntMatrix([[1, 2], [3, 4]])}) == 1
-
-
-def test_rational_matrix_basics():
-    m = IntMatrix([[1, 2], [3, 4]])
-    q = RationalMatrix.from_int_matrix(m)
-    assert q.is_integral()
-    assert q.to_int_matrix() == m
-    h = RationalMatrix([[Fraction(1, 2), 1], [0, Fraction(1, 3)]])
-    assert not h.is_integral()
-    with pytest.raises(ValueError):
-        h.to_int_matrix()
-    assert h.denominator_lcm() == 6
-    assert h[0, 0] == Fraction(1, 2)
-    assert RationalMatrix.identity(3).is_identity()
-    assert not q.is_identity()
-    # products promote int matrices on either side
-    left = m @ h
-    right = h @ m
-    assert isinstance(left, RationalMatrix)
-    assert left[0, 0] == Fraction(1, 2)
-    assert right.matvec([1, 0]) == (Fraction(7, 2), Fraction(1))
-    with pytest.raises(ValueError):
-        RationalMatrix([[1], [2, 3]])
 
 
 # ---------------------------------------------------------------------------
@@ -357,30 +332,42 @@ def test_congruence_solvable_matches_exhaustive_search():
 
 
 # ---------------------------------------------------------------------------
-# rational inverse
+# fraction-free solve
 # ---------------------------------------------------------------------------
 
 
-def test_rational_inverse_known():
-    inv = rational_inverse(IntMatrix([[1, 2], [3, 4]]))
-    assert inv.to_lists() == [[Fraction(-2), Fraction(1)],
-                              [Fraction(3, 2), Fraction(-1, 2)]]
+def test_solve_fraction_free_known():
+    a = IntMatrix([[1, 2], [3, 4]])
+    det, x = solve_fraction_free(a, IntMatrix.identity(2))
+    assert det == -2
+    assert x == IntMatrix([[4, -2], [-3, 1]])  # det * inverse, the adjugate
+    det, x = solve_fraction_free(a, IntMatrix([[5], [6]]))
+    assert (det, x) == (-2, IntMatrix([[8], [-9]]))
+    # a zero leading pivot takes a row swap, which flips the sign back
+    det, x = solve_fraction_free(IntMatrix([[0, 1], [1, 0]]), IntMatrix([[2], [3]]))
+    assert (det, x) == (-1, IntMatrix([[-3], [-2]]))
     with pytest.raises(SingularMatrixError):
-        rational_inverse(IntMatrix([[1, 2], [2, 4]]))
+        solve_fraction_free(IntMatrix([[1, 2], [2, 4]]), IntMatrix.identity(2))
     with pytest.raises(ValueError):
-        rational_inverse(IntMatrix([[1, 2]]))
+        solve_fraction_free(IntMatrix([[1, 2]]), IntMatrix([[1]]))
+    with pytest.raises(ValueError):
+        solve_fraction_free(a, IntMatrix([[1, 2, 3]]))
     assert issubclass(SingularMatrixError, ArithmeticError)
 
 
-def test_rational_inverse_random():
+def test_solve_fraction_free_random():
     rng = random.Random(211)
     done = 0
-    while done < 60:
-        n = rng.randint(1, 5)
-        m = _rand_matrix(rng, n, n)
-        if det_bareiss(m) == 0:
+    while done < 120:
+        n = rng.randint(1, 8)
+        a = _rand_matrix(rng, n, n, -4, 4)
+        b = _rand_matrix(rng, n, rng.randint(1, n + 1))
+        want = det_bareiss(a)
+        if want == 0:
+            with pytest.raises(SingularMatrixError):
+                solve_fraction_free(a, b)
             continue
         done += 1
-        inv = rational_inverse(m)
-        assert (inv @ m).is_identity()
-        assert (m @ inv).is_identity()
+        det, x = solve_fraction_free(a, b)
+        assert det == want
+        assert a @ x == b.scaled(det)

@@ -1,7 +1,7 @@
 """Mate-class search, orthogonal certificates, and the exhaustive checker."""
 
 import json
-from fractions import Fraction
+import random
 
 import pytest
 
@@ -12,13 +12,13 @@ from walkspec.graphs import (
     encode_graph6,
     enumerate_graphs,
     parse_graph6,
+    relabel,
 )
-from walkspec.linalg import RationalMatrix, SingularMatrixError, smith_divisors
+from walkspec.linalg import IntMatrix, SingularMatrixError, det_bareiss, smith_divisors
 from walkspec.oracle import (
     CertificateError,
     build_U,
     find_mate_classes,
-    level,
     plain_cospectral_only_classes,
     verification_to_json,
     verify_theorem,
@@ -30,6 +30,35 @@ KNOWN_PAIRS = (
     ("G@QZt{", "G@U`}{", ALPHA_ZERO, 2, 8),
     ("G@PSP[", "GC?jQw", ALPHA_HALF, 2, 12),
     ("G?DLH{", "G?OXl[", ALPHA_HALF, 4, 40),
+)
+
+# the JSON "matrix" of each KNOWN_PAIRS certificate, recorded from the
+# Fraction-based implementation the integer solve replaced
+KNOWN_PAIR_MATRICES = (
+    [["0", "1", "0", "0", "0", "0", "0", "0"],
+     ["1/2", "0", "1/2", "0", "0", "1/2", "-1/2", "0"],
+     ["0", "0", "1/2", "0", "1/2", "0", "1/2", "-1/2"],
+     ["0", "0", "0", "1", "0", "0", "0", "0"],
+     ["1/2", "0", "-1/2", "0", "0", "1/2", "1/2", "0"],
+     ["1/2", "0", "0", "0", "1/2", "-1/2", "0", "1/2"],
+     ["0", "0", "1/2", "0", "-1/2", "0", "1/2", "1/2"],
+     ["-1/2", "0", "0", "0", "1/2", "1/2", "0", "1/2"]],
+    [["1/2", "1/2", "1/2", "0", "0", "0", "-1/2", "0"],
+     ["1/2", "1/2", "-1/2", "0", "0", "0", "1/2", "0"],
+     ["0", "0", "0", "1/2", "1/2", "1/2", "0", "-1/2"],
+     ["1/2", "-1/2", "1/2", "0", "0", "0", "1/2", "0"],
+     ["0", "0", "0", "1/2", "1/2", "-1/2", "0", "1/2"],
+     ["-1/2", "1/2", "1/2", "0", "0", "0", "1/2", "0"],
+     ["0", "0", "0", "1/2", "-1/2", "1/2", "0", "1/2"],
+     ["0", "0", "0", "-1/2", "1/2", "1/2", "0", "1/2"]],
+    [["1/4", "3/4", "1/4", "-1/4", "-1/4", "1/4", "1/4", "-1/4"],
+     ["3/4", "-1/4", "1/4", "1/4", "1/4", "1/4", "-1/4", "-1/4"],
+     ["1/4", "1/4", "-1/4", "3/4", "-1/4", "-1/4", "1/4", "1/4"],
+     ["-1/4", "1/4", "3/4", "1/4", "1/4", "-1/4", "-1/4", "1/4"],
+     ["1/4", "1/4", "-1/4", "-1/4", "3/4", "-1/4", "1/4", "1/4"],
+     ["-1/4", "1/4", "-1/4", "1/4", "1/4", "3/4", "-1/4", "1/4"],
+     ["-1/4", "-1/4", "1/4", "1/4", "1/4", "1/4", "3/4", "-1/4"],
+     ["1/4", "-1/4", "1/4", "-1/4", "-1/4", "1/4", "1/4", "3/4"]],
 )
 
 
@@ -84,17 +113,10 @@ def test_plain_cospectral_only_star_and_cycle():
 # ---------------------------------------------------------------------------
 
 
-def test_level_is_denominator_lcm():
-    u = RationalMatrix([[Fraction(1, 2), Fraction(1, 2)],
-                        [Fraction(1, 2), Fraction(-1, 2)]])
-    assert level(u) == 2
-    assert level(RationalMatrix.identity(3)) == 1
-
-
 def test_build_U_identity_on_self():
     g = parse_graph6("E@Uw")
     cert = build_U(g, g, ALPHA_ZERO)
-    assert cert.matrix.is_identity()
+    assert cert.matrix == IntMatrix.identity(6)
     assert cert.level == 1
     assert cert.source == cert.target == "E@Uw"
 
@@ -110,10 +132,40 @@ def test_build_U_known_pairs():
         last = smith_divisors(walk_matrix(g, alpha))[-1]
         assert last == want_last
         assert last % cert.level == 0
-        # the exactness checks passed inside build_U; re-verify one identity
+        # the exactness checks passed inside build_U; re-verify two of them
+        # on the numerators, U = matrix / level
         u = cert.matrix
-        assert (u.transpose() @ u).is_identity()
-        assert u.matvec([1] * g.n) == tuple([Fraction(1)] * g.n)
+        assert u.transpose() @ u == IntMatrix.identity(g.n).scaled(cert.level ** 2)
+        assert u.matvec([1] * g.n) == (cert.level,) * g.n
+
+
+def test_build_U_known_pair_matrices_golden():
+    for (src, dst, alpha, _, _), want in zip(KNOWN_PAIRS, KNOWN_PAIR_MATRICES):
+        report = verify_theorem([parse_graph6(src), parse_graph6(dst)], alpha)
+        (entry,) = verification_to_json(report)["pair_checks"]
+        assert entry["matrix"] == want
+
+
+@pytest.mark.parametrize("alpha", [ALPHA_ZERO, ALPHA_HALF, AlphaParam(2, 3)],
+                         ids=str)
+def test_build_U_relabeling_is_its_permutation(alpha):
+    """For h = g relabeled by old -> perm[old], U^T W(g) = W(h) is solved by
+    the permutation matrix with U[old, perm[old]] = 1, at level 1."""
+    rng = random.Random(6117 + alpha.num)
+    done = 0
+    while done < 6:
+        n = rng.randint(8, 12)
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < 0.5])
+        if det_bareiss(walk_matrix(g, alpha)) == 0:
+            continue
+        done += 1
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cert = build_U(g, relabel(g, perm), alpha)
+        assert cert.level == 1
+        assert cert.matrix == IntMatrix([[int(perm[u] == v) for v in range(n)]
+                                         for u in range(n)])
 
 
 def test_build_U_validation():
@@ -185,12 +237,11 @@ def test_verify_theorem_exercises_pair_checks():
 
 
 def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
-    # keys and canonical forms come from one pass over the pool, and the
-    # mate-pair loop reads walk determinants from the criterion reports;
-    # only build_U's own guards and the Smith divisors recompute anything
+    # keys and canonical forms come from one pass over the pool, the mate-pair
+    # loop reads walk determinants from the criterion reports, and each pair
+    # member's walk matrix is built once for its certificate and Smith form
     import walkspec.oracle as oracle
-    calls = {"spectrum_key": 0, "canonical_form": 0, "walk_matrix": 0,
-             "det_bareiss": 0}
+    calls = {"spectrum_key": 0, "canonical_form": 0, "walk_matrix": 0}
 
     def counted(name):
         original = getattr(oracle, name)
@@ -209,10 +260,9 @@ def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
     assert report.ok
     pairs = len(report.pair_checks)
     assert pairs == 1
-    assert calls == {"spectrum_key": len(pool) + 2 * pairs,
+    assert calls == {"spectrum_key": len(pool),
                      "canonical_form": len(pool),
-                     "walk_matrix": 2 * pairs,
-                     "det_bareiss": pairs}
+                     "walk_matrix": 2 * pairs}
 
 
 def test_verification_json_shape():

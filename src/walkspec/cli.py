@@ -42,11 +42,24 @@ class UsageError(Exception):
     pass
 
 
+class _ParserExit(Exception):
+    """argparse finished early (e.g. after printing help) with this status."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so main owns the exit code."""
 
     def error(self, message: str):  # noqa: A003 - argparse API
         raise UsageError(message)
+
+    def exit(self, status: int = 0, message: str | None = None):  # noqa: A003
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _ParserExit(status)
 
 
 @dataclass
@@ -367,6 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         ns = _build_parser().parse_args(argv)
         cfg = _config(ns)
         return _COMMANDS[ns.command](cfg)
+    except _ParserExit as exc:
+        return exc.status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,9 +6,9 @@ edge tuple and as per-vertex neighbor bitmasks.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-CANONICAL_CAP = 10  # brute-force canonical labeling bound
+CANONICAL_CAP = 10  # canonical labeling search bound
 ENUMERATION_CAP = 8  # exhaustive enumeration bound
 
 
@@ -201,21 +201,22 @@ def _encode_order(n: int) -> bytes:
     raise ValueError("order too large for graph6")
 
 
+def _pack_graph6(n: int, bits: int) -> bytes:
+    """graph6 of order n whose n(n-1)/2 edge bits, first bit most
+    significant, are the integer bits."""
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits <<= pad
+    return _encode_order(n) + bytes(
+        [(bits >> s & 63) + 63 for s in range(nbits + pad - 6, -1, -6)])
+
+
 def encode_graph6(g: Graph) -> str:
-    out = bytearray(_encode_order(g.n))
-    group = 0
-    filled = 0
+    bits = 0
     for j in range(1, g.n):
         for i in range(j):
-            group = group << 1 | (g._rows[i] >> j & 1)
-            filled += 1
-            if filled == 6:
-                out.append(group + 63)
-                group = 0
-                filled = 0
-    if filled:
-        out.append((group << (6 - filled)) + 63)
-    return out.decode("ascii")
+            bits = bits << 1 | (g._rows[i] >> j & 1)
+    return _pack_graph6(g.n, bits).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -260,34 +261,39 @@ def parse_edge_list(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Canonical graph6 bytes: minimal edge bit-string over degree-respecting relabelings.
+def _canonical_rows(n: int, rows: Sequence[int]) -> bytes:
+    """canonical_form on neighbor bitmasks rows[0..n-1]; no validation.
 
-    Positions are filled in ascending degree order, so only permutations mapping
-    the degree profile onto itself compete; the lexicographic minimum over that
-    family is constant on isomorphism classes. Output compares equal exactly for
-    isomorphic graphs and parses back as a canonical representative.
+    A labeling is built position by position. Position k takes an unplaced
+    vertex of the k-th smallest degree, and its column is the bit string of
+    its adjacencies to positions 0..k-1. The concatenated columns form one
+    integer, the graph6 edge bits, so a prefix is compared with the best
+    labeling found so far by a shift. A branch whose prefix exceeds the best
+    one's is cut, since no completion of it can be smaller.
+
+    Twin pruning: if an unplaced vertex w has the same neighbors as an
+    already explored candidate v at the same position, apart from v and w
+    themselves (rows[w] & ~(1 << v) == rows[v] & ~(1 << w)), then swapping
+    v and w is an automorphism fixing every placed vertex. It maps the
+    labelings under w onto those under v with the same columns, so w's
+    subtree is skipped without changing the minimum.
     """
-    n = g.n
-    if n > CANONICAL_CAP:
-        raise ValueError(f"canonical form supports at most {CANONICAL_CAP} vertices")
-    rows = g._rows
-    degs = degree_vector(g)
-    profile = sorted(degs)
-    cols = [0] * n
+    degs = [r.bit_count() for r in rows]
+    order = sorted(range(n), key=degs.__getitem__)
+    # the candidates for position k: every vertex of the k-th smallest degree
+    classes = [[v for v in order if degs[v] == degs[u]] for u in order]
+    total = n * (n - 1) // 2
     placed = [0] * n
-    best: list[int] | None = None
+    best = (1 << total) - 1  # no labeling exceeds the complete graph's bits
 
-    def rec(k: int, used: int) -> None:
+    def rec(k: int, prefix: int, used: int) -> None:
         nonlocal best
         if k == n:
-            if best is None or cols < best:
-                best = cols[:]
+            best = prefix  # only prefixes within the bound get here
             return
         cands = []
-        want = profile[k]
-        for v in range(n):
-            if used >> v & 1 or degs[v] != want:
+        for v in classes[k]:
+            if used >> v & 1:
                 continue
             c = 0
             rv = rows[v]
@@ -295,22 +301,42 @@ def canonical_form(g: Graph) -> bytes:
                 c = c << 1 | (rv >> placed[i] & 1)
             cands.append((c, v))
         cands.sort()
+        shift = total - k * (k + 1) // 2
+        explored: list[int] = []
+        last = -1
         for c, v in cands:
-            cols[k] = c
-            if best is not None and cols[: k + 1] > best[: k + 1]:
+            child = prefix << k | c
+            if child > best >> shift:
                 break
+            rv = rows[v]
+            if c != last:  # twins share their column
+                explored = [v]
+                last = c
+            elif any(rv & ~(1 << u) == rows[u] & ~(1 << v) for u in explored):
+                continue
+            else:
+                explored.append(v)
             placed[k] = v
-            rec(k + 1, used | 1 << v)
+            rec(k + 1, child, used | 1 << v)
 
-    rec(0, 0)
-    assert best is not None
-    edges = []
-    for k in range(1, n):
-        c = best[k]
-        for i in range(k):
-            if c >> (k - 1 - i) & 1:
-                edges.append((i, k))
-    return encode_graph6(Graph(n, edges)).encode("ascii")
+    rec(0, 0, 0)
+    return _pack_graph6(n, best)
+
+
+def canonical_form(g: Graph) -> bytes:
+    """Canonical graph6 bytes: minimal edge bit-string over degree-respecting relabelings.
+
+    Positions are filled in ascending degree order, so only permutations mapping
+    the degree profile onto itself compete; the lexicographic minimum over that
+    family is constant on isomorphism classes. Output compares equal exactly for
+    isomorphic graphs and parses back as a canonical representative. The search
+    skips a candidate whose twin (a vertex with the same other neighbors) was
+    already tried at the same position: swapping twins is an automorphism, so
+    both subtrees reach the same labelings (see _canonical_rows).
+    """
+    if g.n > CANONICAL_CAP:
+        raise ValueError(f"canonical form supports at most {CANONICAL_CAP} vertices")
+    return _canonical_rows(g.n, g._rows)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -325,16 +351,37 @@ _enum_cache: dict[int, tuple[bytes, ...]] = {}
 
 
 def _representatives(n: int) -> tuple[bytes, ...]:
+    """Sorted canonical forms of all graphs on n vertices.
+
+    Every graph has a vertex v of maximum degree, and deleting v leaves a
+    graph isomorphic to some representative P on n - 1 vertices. So only the
+    extensions of each P by a new vertex of maximum degree are needed: the
+    new vertex joins a mask of P's vertices, and no old vertex i may end with
+    deg_P(i) + [i in mask] > popcount(mask). With top the maximum degree of
+    P, that holds exactly when popcount(mask) > top, or popcount(mask) == top
+    and the mask avoids every vertex of degree top.
+    """
     if n not in _enum_cache:
         if n == 1:
-            _enum_cache[1] = (canonical_form(Graph(1)),)
+            _enum_cache[1] = (_canonical_rows(1, (0,)),)
         else:
             found: set[bytes] = set()
-            for form in _representatives(n - 1):
+            m = n - 1
+            bit = 1 << m
+            for form in _representatives(m):
                 g = parse_graph6(form)
-                for mask in range(1 << (n - 1)):
-                    extra = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
-                    found.add(canonical_form(Graph(n, g.edges + tuple(extra))))
+                parent = g._rows
+                degs = degree_vector(g)
+                top = max(degs)
+                ties = sum(1 << i for i in range(m) if degs[i] == top)
+                for mask in range(1 << m):
+                    k = mask.bit_count()
+                    if k < top or (k == top and mask & ties):
+                        continue
+                    rows = [r | bit if mask >> i & 1 else r
+                            for i, r in enumerate(parent)]
+                    rows.append(mask)
+                    found.add(_canonical_rows(n, rows))
             _enum_cache[n] = tuple(sorted(found))
     return _enum_cache[n]
 

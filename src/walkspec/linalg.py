@@ -87,13 +87,12 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         bt = other.transpose()._data
-        return IntMatrix([[sum(x * y for x, y in zip(r, c)) for c in bt]
-                          for r in self._data])
+        return IntMatrix([[sum(map(mul, r, c)) for c in bt] for r in self._data])
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(sum(x * y for x, y in zip(r, v)) for r in self._data)
+        return tuple(sum(map(mul, r, v)) for r in self._data)
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
         if not isinstance(other, IntMatrix):

@@ -201,6 +201,20 @@ def test_acceptance_7_certificate_suite(theorem_reports):
     _report(7, "certificate level arithmetic", not problems)
 
 
+def test_acceptance_7_certificate_suite_at_order_8():
+    """Order 8 has mate pairs with nonsingular walk matrices at alpha = 1/2,
+    so the level arithmetic is exercised on real certificates."""
+    report = verify_theorem(list(enumerate_graphs(8)), ALPHA_HALF)
+    checks = report.pair_checks
+    ok = (report.ok and report.graph_count == 12346
+          and len(report.classes) == 11752
+          and len(report.nontrivial_classes) == 545
+          and len(checks) == 22 and report.skipped_singular_pairs == 631
+          and all(pc.level_divides_last_divisor and pc.certificate.level > 1
+                  for pc in checks))
+    _report(7, "certificate level arithmetic at order 8", ok)
+
+
 def test_acceptance_8_complement_identity():
     rng = random.Random(0xE201)
     violations = 0

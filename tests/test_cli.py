@@ -1,5 +1,6 @@
 """End-to-end command-line behavior driven through main(argv)."""
 
+import hashlib
 import io
 import json
 
@@ -208,6 +209,20 @@ def test_verify_theorem_clean(capsys):
     assert out.splitlines()[-1] == "ok: true"
 
 
+# sha256 of stdout, recorded from the brute-force canonical search before it
+# was pruned: both canonical bytes and enumeration order show in these
+@pytest.mark.parametrize("argv, sha256", [
+    (("mates", "--n", "7", "--alpha", "0", "--output", "json"),
+     "95a2fde0cfca58d3732653b4fb0b87976e2bcdd9c4c6a448fa83e92bb2d25545"),
+    (("verify-theorem", "--n", "7", "--alpha", "1/2", "--output", "json"),
+     "be7122714011ae40562ae9d9de6db8c7ecd8749a0dabfece6fc05ec0e9284782"),
+], ids=["mates", "verify-theorem"])
+def test_order_7_output_bytes_are_pinned(capsys, argv, sha256):
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_CERTIFIED
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 # ---------------------------------------------------------------------------
 # environment defaults and usage errors
 # ---------------------------------------------------------------------------
@@ -291,3 +306,11 @@ def test_reserved_flags_accepted(capsys):
     code, _, _ = _run(capsys, "check", "--alpha", "0", "--graph", "E@Uw",
                       "--seed", "7", "--threads", "3")
     assert code == EXIT_CERTIFIED
+
+
+def test_help_returns_from_main(capsys):
+    for argv in (("--help",), ("check", "--help"), ("verify-theorem", "-h")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, argv
+        assert out.startswith("usage: walkspec"), argv
+        assert err == "", argv

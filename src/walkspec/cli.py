@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from . import numtheory
 from .criterion import (AlphaParam, Verdict, criterion_check, report_to_json,
                         spectrum_key, walk_matrix)
-from .graphs import (ENUMERATION_CAP, Graph, GraphParseError, enumerate_graphs,
-                     parse_edge_list, parse_graph6)
+from .graphs import (ENUMERATION_CAP, Graph, GraphParseError, encode_graph6,
+                     enumerate_graphs, parse_edge_list, parse_graph6)
 from .linalg import smith_divisors
 from .oracle import find_mate_classes, verification_to_json, verify_theorem
 
@@ -70,7 +70,6 @@ class RunConfig:
     fmt: str
     output: str
     effort: int
-    seed: int | None
     order: int | None = None
     connected_only: bool = False
 
@@ -110,12 +109,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--effort", type=int,
                        default=_env_int("EFFORT", numtheory.DEFAULT_FACTOR_EFFORT),
                        help="factorization effort cap (rho iterations)")
-        p.add_argument("--threads", type=int, default=_env_int("THREADS", 1),
-                       help="worker count (reserved; every command runs in "
-                            "one thread)")
-        p.add_argument("--seed", type=int, default=_env_int("SEED", None),
-                       help="random seed (reserved; all commands are "
-                            "deterministic)")
 
     def add_graph_input(p: _Parser) -> None:
         p.add_argument("input", nargs="?",
@@ -163,8 +156,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         alpha = AlphaParam.parse(ns.alpha)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --alpha {ns.alpha!r}: {exc}") from None
-    if ns.threads < 1:
-        raise UsageError("--threads must be at least 1")
     if getattr(ns, "effort", 0) < 0:
         raise UsageError("--effort must be nonnegative")
     return RunConfig(
@@ -174,7 +165,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         fmt=ns.fmt,
         output=ns.output,
         effort=ns.effort,
-        seed=ns.seed,
         order=getattr(ns, "order", None),
         connected_only=getattr(ns, "connected_only", False),
     )
@@ -321,7 +311,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_mates(cfg: RunConfig) -> int:
     pool = _load_pool(cfg)
     classes = find_mate_classes(pool, cfg.alpha)
-    from .graphs import encode_graph6
     payload = {
         "schema": 1,
         "alpha": str(cfg.alpha),

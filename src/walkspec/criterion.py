@@ -100,13 +100,6 @@ def walk_matrix(g: Graph, alpha: AlphaParam) -> IntMatrix:
     return IntMatrix.from_columns(cols)
 
 
-def raw_walk_matrix(g: Graph, alpha: AlphaParam) -> IntMatrix:
-    """Unscaled walk matrix: columns 1, M1, M^2 1, ..., M^(n-1) 1."""
-    n = g.n
-    return IntMatrix.from_columns(
-        _power_columns(alpha_matrix(g, alpha), [1] * n, n - 1))
-
-
 class AuxWalkMatrices(NamedTuple):
     """Truncated companions of the normalized walk matrix.
 
@@ -138,11 +131,6 @@ def auxiliary_walk_matrices(g: Graph, alpha: AlphaParam) -> AuxWalkMatrices:
     doubled = IntMatrix.from_columns(
         [[2] * n] + [power_cols[e] for e in range(1, n)])
     return AuxWalkMatrices(half, even, doubled)
-
-
-def walk_moments(g: Graph, alpha: AlphaParam, kmax: int) -> list[int]:
-    """Quadratic forms 1^T M^k 1 of the scaled matrix for k = 0..kmax."""
-    return [sum(v) for v in _power_columns(alpha_matrix(g, alpha), [1] * g.n, kmax)]
 
 
 class SpectrumKey(NamedTuple):
@@ -243,10 +231,15 @@ def criterion_check(g: Graph, alpha: AlphaParam, *,
     arithmetic tests (with an undecided escape when the factorization
     budget expires), then the even-order/odd-c exclusion, then certified.
     """
+    return _report_from_walk(g, alpha, walk_matrix(g, alpha), factor_effort)
+
+
+def _report_from_walk(g: Graph, alpha: AlphaParam, w: IntMatrix,
+                      factor_effort: int | None) -> CriterionReport:
+    """criterion_check given the normalized walk matrix w of g."""
     effort = numtheory.DEFAULT_FACTOR_EFFORT if factor_effort is None else factor_effort
     n = g.n
     c = alpha.c_alpha
-    w = walk_matrix(g, alpha)
     det = det_bareiss(w)
     reduced = Fraction(det, 2 ** (n // 2))
     integral = reduced.denominator == 1

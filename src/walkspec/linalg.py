@@ -2,12 +2,12 @@
 
 Everything here is pure bigint arithmetic: fraction-free determinants and
 linear solves, integer characteristic polynomials, ranks over prime fields,
-and Smith normal forms with unimodular transforms. No floating point.
+and the invariant factors (Smith divisors) of integer matrices. No floating
+point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -41,24 +41,15 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> IntMatrix:
         rows = len(columns[0])
         return cls([[col[i] for col in columns] for i in range(rows)])
 
     @classmethod
-    def diagonal(cls, entries: Sequence[int], rows: int | None = None,
-                 cols: int | None = None) -> IntMatrix:
+    def diagonal(cls, entries: Sequence[int]) -> IntMatrix:
         k = len(entries)
-        rows = k if rows is None else rows
-        cols = k if cols is None else cols
-        data = [[0] * cols for _ in range(rows)]
-        for i, e in enumerate(entries):
-            data[i][i] = e
-        return cls(data)
+        return cls([[entries[i] if i == j else 0 for j in range(k)]
+                    for i in range(k)])
 
     @property
     def is_square(self) -> bool:
@@ -93,20 +84,6 @@ class IntMatrix:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
         return tuple(sum(map(mul, r, v)) for r in self._data)
-
-    def __add__(self, other: IntMatrix) -> IntMatrix:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return IntMatrix([[x + y for x, y in zip(r, s)]
-                          for r, s in zip(self._data, other._data)])
-
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        return self + (-other)
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix([[-x for x in r] for r in self._data])
 
     def scaled(self, k: int) -> IntMatrix:
         return IntMatrix([[k * x for x in r] for r in self._data])
@@ -226,13 +203,6 @@ def charpoly(m: IntMatrix) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def poly_eval(coeffs: Sequence[int], x: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # modular rank
 # ---------------------------------------------------------------------------
@@ -263,29 +233,8 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Smith divisors
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SNFDecomposition:
-    """m = v1 @ diagonal(divisors) @ v2 with unimodular v1, v2.
-
-    divisors is the full min(rows, cols)-vector: nonneg, each dividing the
-    next, zeros trailing.
-    """
-
-    divisors: tuple[int, ...]
-    v1: IntMatrix
-    v2: IntMatrix
-    rows: int
-    cols: int
-
-    def diagonal(self) -> IntMatrix:
-        return IntMatrix.diagonal(self.divisors, self.rows, self.cols)
-
-    def recompose(self) -> IntMatrix:
-        return self.v1 @ self.diagonal() @ self.v2
 
 
 def _xgcd(u: int, v: int) -> tuple[int, int, int]:
@@ -304,48 +253,36 @@ def _xgcd(u: int, v: int) -> tuple[int, int, int]:
 
 
 def _eliminate(a: list[list[int]], rows: int, cols: int,
-               v1: list[list[int]] | None, v2: list[list[int]] | None,
                mod: int | None = None) -> None:
     """Diagonalize `a` in place by unimodular row and column operations.
 
     Each non-divisible clear is a single 2x2 Bezout block (det 1), so the
     pivot strictly shrinks instead of walking a remainder chain through the
-    whole row. When v1/v2 are given, every left operation E lands in v1 as
-    E^-1 acting on columns and every right operation F lands in v2 as F^-1
-    acting on rows, keeping original = v1 @ a @ v2 an exact invariant.
+    whole row.
 
-    With `mod` set (tracking must be off), every updated entry is reduced
-    into [0, mod); the caller owns mapping the residue diagonal back to true
-    divisors.
+    With `mod` set, every updated entry is reduced into [0, mod); the caller
+    owns mapping the residue diagonal back to true divisors.
     """
-    if mod is not None and (v1 is not None or v2 is not None):
-        raise ValueError("modular reduction cannot carry transforms")
 
     def row_sub(i: int, q: int, j: int) -> None:
-        # row i -= q * row j ; inverse adds it back, so v1 col j += q * col i
+        # row i -= q * row j
         rj = a[j]
         if mod is None:
             a[i] = [x - q * y for x, y in zip(a[i], rj)]
         else:
             a[i] = [(x - q * y) % mod for x, y in zip(a[i], rj)]
-        if v1 is not None:
-            for r in v1:
-                r[j] += q * r[i]
 
     def col_sub(j: int, q: int, i: int) -> None:
-        # col j -= q * col i ; v2 row i += q * row j
+        # col j -= q * col i
         if mod is None:
             for row in a:
                 row[j] -= q * row[i]
         else:
             for row in a:
                 row[j] = (row[j] - q * row[i]) % mod
-        if v2 is not None:
-            v2[i] = [x + q * y for x, y in zip(v2[i], v2[j])]
 
     def bezout_row(t: int, i: int, p: int, b: int) -> int:
-        # rows (t, i) <- [[x, y], [-b/g, p/g]] @ rows; v1 columns pick up
-        # the inverse [[p/g, -y], [b/g, x]]
+        # rows (t, i) <- [[x, y], [-b/g, p/g]] @ rows
         g, x, y = _xgcd(p, b)
         pg, bg = p // g, b // g
         rt, ri = a[t], a[i]
@@ -355,16 +292,10 @@ def _eliminate(a: list[list[int]], rows: int, cols: int,
         else:
             a[t] = [(x * u + y * v) % mod for u, v in zip(rt, ri)]
             a[i] = [(pg * v - bg * u) % mod for u, v in zip(rt, ri)]
-        if v1 is not None:
-            for r in v1:
-                u, v = r[t], r[i]
-                r[t] = u * pg + v * bg
-                r[i] = v * x - u * y
         return g
 
     def bezout_col(t: int, j: int, p: int, b: int) -> int:
-        # cols (t, j) <- cols @ [[x, -b/g], [y, p/g]]; v2 rows pick up
-        # the inverse [[p/g, b/g], [-y, x]]
+        # cols (t, j) <- cols @ [[x, -b/g], [y, p/g]]
         g, x, y = _xgcd(p, b)
         pg, bg = p // g, b // g
         if mod is None:
@@ -377,10 +308,6 @@ def _eliminate(a: list[list[int]], rows: int, cols: int,
                 u, v = row[t], row[j]
                 row[t] = (x * u + y * v) % mod
                 row[j] = (pg * v - bg * u) % mod
-        if v2 is not None:
-            wt, wj = v2[t], v2[j]
-            v2[t] = [pg * u + bg * v for u, v in zip(wt, wj)]
-            v2[j] = [x * v - y * u for u, v in zip(wt, wj)]
         return g
 
     size = min(rows, cols)
@@ -404,19 +331,11 @@ def _eliminate(a: list[list[int]], rows: int, cols: int,
         _, bi, bj = best
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
-            if v1 is not None:
-                for r in v1:
-                    r[t], r[bi] = r[bi], r[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-            if v2 is not None:
-                v2[t], v2[bj] = v2[bj], v2[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            if v1 is not None:
-                for r in v1:
-                    r[t] = -r[t]
         while True:
             while True:
                 p = a[t][t]
@@ -453,23 +372,9 @@ def _eliminate(a: list[list[int]], rows: int, cols: int,
             row_sub(t, -1, offender)  # row t += offending row, then re-clear
 
 
-def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
-    """Full decomposition m = v1 @ diag(divisors) @ v2 with unimodular v1, v2.
-
-    Entry growth is unbounded in the worst case; callers that only need the
-    divisors of a large square matrix should prefer smith_divisors.
-    """
-    R, C = m.rows, m.cols
-    a = m.to_lists()
-    v1 = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    v2 = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-    _eliminate(a, R, C, v1, v2)
-    divisors = tuple(a[i][i] for i in range(min(R, C)))
-    return SNFDecomposition(divisors, IntMatrix(v1), IntMatrix(v2), R, C)
-
-
 def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors of m, without the transform matrices.
+    """Invariant factors of m: nonnegative, each dividing the next, one per
+    min(rows, cols), zeros trailing.
 
     A square nonsingular input takes a bounded-entry path: with d = |det m|,
     d * I lies in the column lattice (m @ adj(m) = det(m) * I), so every
@@ -484,7 +389,7 @@ def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
             return (1,) * rows
         if d:
             a = [[x % d for x in row] for row in m._data]
-            _eliminate(a, rows, cols, None, None, mod=d)
+            _eliminate(a, rows, cols, mod=d)
             out = [gcd(a[i][i], d) for i in range(rows)]
             # the residue diagonal determines the group, but only prime by
             # prime; pairwise gcd/lcm sweeps sort the exponents into a chain
@@ -504,18 +409,5 @@ def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
                 raise AssertionError("modular elimination lost a divisor")
             return tuple(out)
     a = m.to_lists()
-    _eliminate(a, rows, cols, None, None)
+    _eliminate(a, rows, cols)
     return tuple(a[i][i] for i in range(min(rows, cols)))
-
-
-def congruence_solvable(m: IntMatrix, p: int) -> bool:
-    """Whether m @ x = 0 mod p^2 has a solution x not vanishing mod p.
-
-    Equivalent to p^2 dividing the last Smith divisor (zero included).
-    """
-    if not m.is_square:
-        raise ValueError("congruence test requires a square matrix")
-    if p < 2 or not numtheory.is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    last = smith_divisors(m)[-1]
-    return last % (p * p) == 0

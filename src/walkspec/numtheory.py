@@ -8,7 +8,7 @@ so concurrent or repeated runs always agree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 TRIAL_LIMIT = 10**6
@@ -29,13 +29,12 @@ class FactorizationBudgetError(RuntimeError):
 class Factorization:
     """Sorted (prime, exponent) pairs whose product is value.
 
-    complete is always True on returned values; the budget path raises
-    instead of returning a partial answer.
+    Always complete: the budget path raises instead of returning a partial
+    answer.
     """
 
     value: int
     factors: tuple[tuple[int, int], ...]
-    complete: bool = True
 
     def product(self) -> int:
         out = 1

@@ -18,7 +18,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .criterion import (AlphaParam, CriterionReport, SpectrumKey, Verdict,
-                        alpha_matrix, criterion_check, spectrum_key,
+                        _report_from_walk, alpha_matrix, spectrum_key,
                         walk_matrix)
 from .graphs import CANONICAL_CAP, Graph, canonical_form, encode_graph6
 from .linalg import IntMatrix, smith_divisors, solve_fraction_free
@@ -201,9 +201,13 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
         if size > 1:
             nontrivial.append(idx)
         reports: list[CriterionReport] = []
+        walks: list[IntMatrix] = []
         for g in cls.members:
             g6 = encode_graph6(g)
-            rep = criterion_check(g, alpha, factor_effort=factor_effort)
+            # one W per member serves its report and all of its pairs
+            w = walk_matrix(g, alpha)
+            rep = _report_from_walk(g, alpha, w, factor_effort)
+            walks.append(w)
             reports.append(rep)
             verdicts.append((g6, rep.verdict))
             if rep.verdict == Verdict.CERTIFIED_DGAS:
@@ -214,14 +218,10 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
                         f"certified graph {g6} shares its spectrum key with "
                         f"{', '.join(others)}")
         if size > 1:
-            # class membership already proves equal keys, and each member
-            # of a nonsingular pair gets its W built once, for all its pairs
-            live = [i for i, rep in enumerate(reports) if rep.det_walk != 0]
-            walks = ({i: walk_matrix(cls.members[i], alpha) for i in live}
-                     if len(live) > 1 else {})
+            # class membership already proves equal keys
             for i in range(size):
                 for j in range(i + 1, size):
-                    if i not in walks or j not in walks:
+                    if reports[i].det_walk == 0 or reports[j].det_walk == 0:
                         skipped += 1
                         continue
                     cert = _certificate(cls.members[i], cls.members[j],

@@ -2,6 +2,8 @@
 verification, certificate arithmetic, kernel cross-oracles, and corollary
 consistency. Each test prints one PASS/FAIL line."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -9,7 +11,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import read_fixture
+from conftest import det_cofactor, read_fixture, smith_reference
 from walkspec import numtheory
 from walkspec.criterion import (
     ALPHA_HALF,
@@ -20,18 +22,10 @@ from walkspec.criterion import (
     auxiliary_walk_matrices,
     criterion_check,
     walk_matrix,
-    walk_moments,
 )
 from walkspec.graphs import Graph, complement, enumerate_graphs, parse_graph6
-from walkspec.linalg import (
-    IntMatrix,
-    congruence_solvable,
-    det_bareiss,
-    rank_mod_p,
-    smith_divisors,
-    smith_normal_form,
-)
-from walkspec.oracle import verify_theorem
+from walkspec.linalg import IntMatrix, det_bareiss, rank_mod_p, smith_divisors
+from walkspec.oracle import verification_to_json, verify_theorem
 
 SIX_ALPHAS = [AlphaParam.parse(s) for s in ("0", "1/2", "1/3", "2/3", "3/4", "5/6")]
 
@@ -119,7 +113,12 @@ def test_acceptance_3_moment_congruences(random_corpus):
     for g in random_corpus:
         for alpha in SIX_ALPHAS:
             c = alpha.c_alpha
-            moments = walk_moments(g, alpha, 2 * g.n)
+            m = alpha_matrix(g, alpha)
+            v = (1,) * g.n
+            moments = [g.n]  # 1^T M^k 1 for k = 0..2n
+            for _ in range(2 * g.n):
+                v = m.matvec(v)
+                moments.append(sum(v))
             if moments[1] % (2 * c):
                 violations += 1
             if any(moments[k] % (2 * c * c) for k in range(2, 2 * g.n + 1)):
@@ -201,10 +200,15 @@ def test_acceptance_7_certificate_suite(theorem_reports):
     _report(7, "certificate level arithmetic", not problems)
 
 
-def test_acceptance_7_certificate_suite_at_order_8():
+@pytest.fixture(scope="module")
+def order_8_pool():
+    return list(enumerate_graphs(8))
+
+
+def test_acceptance_7_certificate_suite_at_order_8(order_8_pool):
     """Order 8 has mate pairs with nonsingular walk matrices at alpha = 1/2,
     so the level arithmetic is exercised on real certificates."""
-    report = verify_theorem(list(enumerate_graphs(8)), ALPHA_HALF)
+    report = verify_theorem(order_8_pool, ALPHA_HALF)
     checks = report.pair_checks
     ok = (report.ok and report.graph_count == 12346
           and len(report.classes) == 11752
@@ -215,6 +219,31 @@ def test_acceptance_7_certificate_suite_at_order_8():
     _report(7, "certificate level arithmetic at order 8", ok)
 
 
+# sha256 of the indented JSON report (as verify-theorem --output json prints
+# it) of the order-8 sweep at alpha = 0
+ORDER_8_ALPHA_ZERO_SHA256 = (
+    "758b5b35c60a80f2d63b84c92ce9b7d314864a16e60ecea208d355359f7ae1c1")
+
+
+def test_acceptance_7_certificate_suite_at_order_8_alpha_zero(order_8_pool):
+    """At alpha = 0, order 8 has certificates of odd level 3, and 108 pairs
+    run the modular Smith path; the whole report is pinned by its hash."""
+    report = verify_theorem(order_8_pool, ALPHA_ZERO)
+    checks = report.pair_checks
+    levels = sorted(pc.certificate.level for pc in checks)
+    text = json.dumps(verification_to_json(report), indent=2) + "\n"
+    ok = (report.ok and len(report.verdicts) == 12346
+          and len(report.classes) == 11750
+          and len(report.nontrivial_classes) == 570
+          and len(report.certified) == 1678
+          and len(checks) == 108 and levels == [2] * 102 + [3] * 6
+          and report.skipped_singular_pairs == 516
+          and all(pc.last_divisor % pc.certificate.level == 0
+                  and pc.level_divides_last_divisor for pc in checks)
+          and hashlib.sha256(text.encode()).hexdigest() == ORDER_8_ALPHA_ZERO_SHA256)
+    _report(7, "certificate level arithmetic at order 8, alpha = 0", ok)
+
+
 def test_acceptance_8_complement_identity():
     rng = random.Random(0xE201)
     violations = 0
@@ -223,25 +252,14 @@ def test_acceptance_8_complement_identity():
         g = _random_graph(rng, n)
         alpha = rng.choice(SIX_ALPHAS)
         a, b = alpha.a, alpha.b
-        jj = IntMatrix([[1] * n for _ in range(n)])
+        m = alpha_matrix(g, alpha)
         lhs = alpha_matrix(complement(g), alpha)
-        rhs = (jj.scaled(b) + IntMatrix.identity(n).scaled(a * (n - 1) - b)
-               - alpha_matrix(g, alpha))
+        # b*J + (a(n-1) - b)*I - M
+        rhs = IntMatrix([[b + (a * (n - 1) - b if i == j else 0) - m[i, j]
+                          for j in range(n)] for i in range(n)])
         if lhs != rhs:
             violations += 1
     _report(8, "complement matrix identity", violations == 0)
-
-
-def _det_cofactor(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j, x in enumerate(rows[0]):
-        if x:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * x * _det_cofactor(minor)
-    return total
 
 
 def _rank_cross_elimination(m, p):
@@ -268,13 +286,11 @@ def test_acceptance_9_kernel_oracles():
     for _ in range(200):
         n = rng.randint(1, 5)
         m = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        if det_bareiss(m) != _det_cofactor(m.to_lists()):
+        if det_bareiss(m) != det_cofactor(m.to_lists()):
             ok = False
     for _ in range(200):
         m = IntMatrix([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
-        s = smith_normal_form(m)
-        if s.recompose() != m or abs(det_bareiss(s.v1)) != 1 \
-                or abs(det_bareiss(s.v2)) != 1:
+        if smith_divisors(m) != smith_reference(m):
             ok = False
     for _ in range(200):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
@@ -295,7 +311,8 @@ def test_acceptance_9_kernel_oracles():
             and all(sum(m[i, j] * vec[j] for j in range(n)) % mod == 0
                     for i in range(n))
             for vec in iproduct(range(mod), repeat=n))
-        if congruence_solvable(m, p) != found:
+        # p^2 | last Smith divisor decides the congruence
+        if (smith_divisors(m)[-1] % mod == 0) != found:
             ok = False
     _report(9, "kernel cross-oracles", ok)
 

@@ -15,7 +15,7 @@ G14 = read_fixture("dgas14.g6").strip()
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for name in ("ALPHA", "FORMAT", "OUTPUT", "THREADS", "SEED", "EFFORT"):
+    for name in ("ALPHA", "FORMAT", "OUTPUT", "EFFORT"):
         monkeypatch.delenv(f"WALKSPEC_{name}", raising=False)
 
 
@@ -109,16 +109,6 @@ def test_batch_mixed_file(capsys, tmp_path):
     assert summary["verdicts"] == {"CERTIFIED_DGAS": 1,
                                    "SINGULAR_WALK_MATRIX": 1,
                                    "SMALL_ORDER": 1}
-
-
-def test_batch_thread_count_does_not_change_output(capsys, tmp_path):
-    path = tmp_path / "pool.g6"
-    path.write_text("\n".join(["Bw", "DqK", "E@Uw", "C~", "A_"]) + "\n")
-    code1, out1, _ = _run(capsys, "batch", "--alpha", "1/2", str(path))
-    code4, out4, _ = _run(capsys, "batch", "--alpha", "1/2", "--threads", "4",
-                          str(path))
-    assert (code1, out1) == (code4, out4)
-    assert code1 == EXIT_CERTIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +237,11 @@ def test_env_defaults(capsys, monkeypatch, tmp_path):
 
 
 def test_malformed_integer_env_is_a_usage_error(capsys, monkeypatch):
-    for name in ("EFFORT", "THREADS", "SEED"):
-        monkeypatch.setenv(f"WALKSPEC_{name}", "abc")
-        code, out, err = _run(capsys, "check", "--alpha", "0", "--graph", "E@Uw")
-        assert code == EXIT_USAGE, name
-        assert out == ""
-        assert err.startswith("error:") and f"WALKSPEC_{name}" in err, name
-        monkeypatch.delenv(f"WALKSPEC_{name}")
+    monkeypatch.setenv("WALKSPEC_EFFORT", "abc")
+    code, out, err = _run(capsys, "check", "--alpha", "0", "--graph", "E@Uw")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "WALKSPEC_EFFORT" in err
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -265,7 +253,6 @@ def test_usage_errors(capsys, tmp_path):
         ("check", "--alpha", "0", "--graph", "Bw", "x"),   # file and inline
         ("check", "--alpha", "0", "--format", "edgelist",
          "--graph", "Bw"),                                 # inline needs graph6
-        ("check", "--alpha", "0", "--threads", "0", "--graph", "Bw"),
         ("check", "--alpha", "0", "--effort", "-1", "--graph", "Bw"),
         ("mates", "--alpha", "0"),                         # neither --n nor file
         ("mates", "--alpha", "0", "--n", "0"),
@@ -302,10 +289,21 @@ def test_non_ascii_file_byte_is_a_parse_error(capsys, tmp_path):
         assert "0xc3" in err and "offset 6" in err, command
 
 
-def test_reserved_flags_accepted(capsys):
-    code, _, _ = _run(capsys, "check", "--alpha", "0", "--graph", "E@Uw",
-                      "--seed", "7", "--threads", "3")
+def test_removed_flags_are_usage_errors(capsys, monkeypatch):
+    for flag, value in (("--threads", "3"), ("--seed", "7")):
+        code, out, err = _run(capsys, "check", "--alpha", "0", "--graph",
+                              "E@Uw", flag, value)
+        assert code == EXIT_USAGE, flag
+        assert out == ""
+        assert err.startswith("error:") and flag in err, flag
+    # their environment variables are no longer read at all
+    code, baseline, _ = _run(capsys, "check", "--alpha", "0", "--graph", "E@Uw")
     assert code == EXIT_CERTIFIED
+    for name in ("THREADS", "SEED"):
+        monkeypatch.setenv(f"WALKSPEC_{name}", "abc")
+        code, out, err = _run(capsys, "check", "--alpha", "0", "--graph", "E@Uw")
+        assert (code, out, err) == (EXIT_CERTIFIED, baseline, ""), name
+        monkeypatch.delenv(f"WALKSPEC_{name}")
 
 
 def test_help_returns_from_main(capsys):

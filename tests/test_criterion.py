@@ -15,11 +15,9 @@ from walkspec.criterion import (
     alpha_matrix,
     auxiliary_walk_matrices,
     criterion_check,
-    raw_walk_matrix,
     report_to_json,
     spectrum_key,
     walk_matrix,
-    walk_moments,
 )
 from walkspec.graphs import (
     Graph,
@@ -144,13 +142,19 @@ def test_walk_matrix_matches_rational_definition():
 
 
 def test_raw_walk_matrix_scaling():
+    """The unscaled walk matrix, columns M^k 1 built here from the scaled
+    matrix, is the normalized one times diag(1, c, ..., c)."""
     rng = random.Random(403)
     for _ in range(40):
         g = _random_graph(rng, rng.randint(1, 7))
         alpha = rng.choice(ALPHAS)
         c = alpha.c_alpha
         w = walk_matrix(g, alpha)
-        raw = raw_walk_matrix(g, alpha)
+        m = alpha_matrix(g, alpha)
+        columns = [(1,) * g.n]
+        while len(columns) < g.n:
+            columns.append(m.matvec(columns[-1]))
+        raw = IntMatrix.from_columns(columns)
         scale = IntMatrix.diagonal([1] + [c] * (g.n - 1))
         assert raw == w @ scale
         assert det_bareiss(raw) == c ** (g.n - 1) * det_bareiss(w)
@@ -188,20 +192,6 @@ def test_auxiliary_walk_matrices():
     assert aux5.half.rows == 5 and aux5.half.cols == 2
     with pytest.raises(ValueError):
         auxiliary_walk_matrices(Graph(1, []), ALPHA_ZERO)
-
-
-def test_walk_moments():
-    k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    # for the 2-regular triangle at alpha = 0 each step doubles the total
-    assert walk_moments(k3, ALPHA_ZERO, 4) == [3, 6, 12, 24, 48]
-    rng = random.Random(404)
-    for _ in range(30):
-        g = _random_graph(rng, rng.randint(1, 6))
-        alpha = rng.choice(ALPHAS)
-        moments = walk_moments(g, alpha, g.n - 1)
-        raw = raw_walk_matrix(g, alpha)
-        assert moments == [sum(raw.column(k)) for k in range(g.n)]
-        assert moments[0] == g.n
 
 
 # ---------------------------------------------------------------------------

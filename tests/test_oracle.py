@@ -237,32 +237,34 @@ def test_verify_theorem_exercises_pair_checks():
 
 
 def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
-    # keys and canonical forms come from one pass over the pool, the mate-pair
-    # loop reads walk determinants from the criterion reports, and each pair
-    # member's walk matrix is built once for its certificate and Smith form
+    # keys and canonical forms come from one pass over the pool, and each
+    # graph's walk matrix is built once, for its verdict and, in a mate
+    # pair, for its certificate and Smith divisors
+    import walkspec.criterion as criterion
     import walkspec.oracle as oracle
     calls = {"spectrum_key": 0, "canonical_form": 0, "walk_matrix": 0}
 
-    def counted(name):
-        original = getattr(oracle, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(oracle, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in calls:
-        counted(name)
+        counted(oracle, name)
+    counted(criterion, "walk_matrix")
     src, dst, alpha, _, _ = KNOWN_PAIRS[0]
     pool = [parse_graph6(src), parse_graph6(dst), parse_graph6("G?????"),
             parse_graph6("G~~~~{")]
     report = verify_theorem(pool, alpha)
     assert report.ok
-    pairs = len(report.pair_checks)
-    assert pairs == 1
+    assert len(report.pair_checks) == 1
+    assert len(report.verdicts) == len(pool)
     assert calls == {"spectrum_key": len(pool),
                      "canonical_form": len(pool),
-                     "walk_matrix": 2 * pairs}
+                     "walk_matrix": len(report.verdicts)}
 
 
 def test_verification_json_shape():

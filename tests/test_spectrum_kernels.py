@@ -29,7 +29,8 @@ def _charpoly_reference(m: IntMatrix) -> tuple[int, ...]:
         c = -(t // k)
         coeffs[n - k] = c
         if k < n:
-            work = work + IntMatrix.identity(n).scaled(c)
+            work = IntMatrix([[work[i, j] + (c if i == j else 0)
+                               for j in range(n)] for i in range(n)])
     return tuple(coeffs)
 
 

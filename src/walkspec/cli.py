@@ -1,6 +1,12 @@
 """Command-line surface: single-graph checks, batch scans, structure dumps,
 mate search, and exhaustive verification.
 
+Each command accepts only the options it reads. `batch` always reads graph6
+and writes JSONL, so it has no --format or --output; `spectrum` does not
+factor, so it has no --effort; `mates` and `verify-theorem` read graph6
+pools, so they have no --format, and `mates` has no --effort either. A
+WALKSPEC_* default applies only to the commands that have its flag.
+
 Exit codes: 0 certified (or clean report), 1 arithmetic/singular failure or
 verification counterexample, 2 excluded/small/undecided, 64 usage, I/O, or
 parse errors. All JSON output carries "schema": 1 and renders big integers
@@ -13,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import numtheory
 from .criterion import (AlphaParam, Verdict, criterion_check, report_to_json,
@@ -62,31 +67,12 @@ class _Parser(argparse.ArgumentParser):
         raise _ParserExit(status)
 
 
-@dataclass
-class RunConfig:
-    alpha: AlphaParam
-    input_path: str | None
-    inline_graph: str | None
-    fmt: str
-    output: str
-    effort: int
-    order: int | None = None
-    connected_only: bool = False
-
-
 def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get(f"WALKSPEC_{name}", fallback)
 
 
-def _env_int(name: str, fallback: int | None) -> int | None:
-    """Integer default from WALKSPEC_<name>; unset or empty gives fallback."""
-    text = _env(name)
-    if not text:
-        return fallback
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"bad WALKSPEC_{name} {text!r}: not an integer") from None
+def _options() -> _Parser:
+    return _Parser(add_help=False)
 
 
 def _build_parser() -> _Parser:
@@ -95,79 +81,67 @@ def _build_parser() -> _Parser:
                                  "by the generalized alpha-spectrum.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, needs_alpha: bool = True) -> None:
-        p.add_argument("--alpha", default=_env("ALPHA"),
-                       required=needs_alpha and _env("ALPHA") is None,
+    alpha = _options()
+    alpha.add_argument("--alpha", default=_env("ALPHA"),
+                       required=_env("ALPHA") is None,
                        help="rational alpha as p/q in [0, 1), e.g. 3/4")
-        p.add_argument("--format", dest="fmt",
-                       choices=("graph6", "edgelist"),
-                       default=_env("FORMAT", "graph6"),
-                       help="input format (default graph6)")
-        p.add_argument("--output", choices=("json", "table"),
-                       default=_env("OUTPUT", "table"),
-                       help="report rendering (default table)")
-        p.add_argument("--effort", type=int,
-                       default=_env_int("EFFORT", numtheory.DEFAULT_FACTOR_EFFORT),
-                       help="factorization effort cap (rho iterations)")
-
-    def add_graph_input(p: _Parser) -> None:
-        p.add_argument("input", nargs="?",
-                       help="input file ('-' for stdin)")
-        p.add_argument("--graph", dest="inline",
+    fmt = _options()
+    fmt.add_argument("--format", dest="fmt", choices=("graph6", "edgelist"),
+                     default=_env("FORMAT", "graph6"),
+                     help="input format (default graph6)")
+    output = _options()
+    output.add_argument("--output", choices=("json", "table"),
+                        default=_env("OUTPUT", "table"),
+                        help="report rendering (default table)")
+    # default None: _config reads WALKSPEC_EFFORT, so only commands with
+    # --effort parse it
+    effort = _options()
+    effort.add_argument("--effort", type=int,
+                        help="factorization effort cap (rho iterations)")
+    graph = _options()
+    graph.add_argument("input", nargs="?", help="input file ('-' for stdin)")
+    graph.add_argument("--graph", dest="inline",
                        help="inline graph6 text instead of a file")
+    pool = _options()
+    pool.add_argument("input", nargs="?", help="graph6 file, one graph per line")
+    pool.add_argument("--n", type=int, dest="order",
+                      help=f"enumerate all graphs of this order (1..{ENUMERATION_CAP})")
+    pool.add_argument("--connected-only", action="store_true",
+                      help="restrict enumeration to connected graphs")
+    batch = _options()
+    batch.add_argument("input", help="graph6 file, one graph per line")
 
-    p = sub.add_parser("check", parents=[], help="criterion verdict for one graph")
-    common(p)
-    add_graph_input(p)
-
-    p = sub.add_parser("batch", help="criterion verdicts for a graph6 file, JSONL")
-    common(p)
-    p.add_argument("input", help="graph6 file, one graph per line")
-
-    p = sub.add_parser("snf", help="Smith divisors of the normalized walk matrix")
-    common(p)
-    add_graph_input(p)
-
-    p = sub.add_parser("spectrum", help="characteristic polynomials of graph and complement")
-    common(p)
-    add_graph_input(p)
-
-    p = sub.add_parser("mates", help="group graphs by shared spectrum key")
-    common(p)
-    p.add_argument("input", nargs="?", help="graph6 file, one graph per line")
-    p.add_argument("--n", type=int, dest="order",
-                   help=f"enumerate all graphs of this order (1..{ENUMERATION_CAP})")
-    p.add_argument("--connected-only", action="store_true",
-                   help="restrict enumeration to connected graphs")
-
-    p = sub.add_parser("verify-theorem",
-                       help="exhaustive verdict/mate cross-check with certificates")
-    common(p)
-    p.add_argument("input", nargs="?", help="graph6 file, one graph per line")
-    p.add_argument("--n", type=int, dest="order",
-                   help=f"enumerate all graphs of this order (1..{ENUMERATION_CAP})")
-    p.add_argument("--connected-only", action="store_true",
-                   help="restrict enumeration to connected graphs")
+    for name, options, text in (
+        ("check", (fmt, output, effort, graph), "criterion verdict for one graph"),
+        ("batch", (effort, batch), "criterion verdicts for a graph6 file, JSONL"),
+        ("snf", (fmt, output, effort, graph),
+         "Smith divisors of the normalized walk matrix"),
+        ("spectrum", (fmt, output, graph),
+         "characteristic polynomials of graph and complement"),
+        ("mates", (output, pool), "group graphs by shared spectrum key"),
+        ("verify-theorem", (output, effort, pool),
+         "exhaustive verdict/mate cross-check with certificates"),
+    ):
+        sub.add_parser(name, parents=[alpha, *options], help=text)
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
+def _config(ns: argparse.Namespace) -> None:
+    """Parse --alpha in place; default and check --effort where it exists."""
     try:
-        alpha = AlphaParam.parse(ns.alpha)
+        ns.alpha = AlphaParam.parse(ns.alpha)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --alpha {ns.alpha!r}: {exc}") from None
-    if getattr(ns, "effort", 0) < 0:
-        raise UsageError("--effort must be nonnegative")
-    return RunConfig(
-        alpha=alpha,
-        input_path=getattr(ns, "input", None),
-        inline_graph=getattr(ns, "inline", None),
-        fmt=ns.fmt,
-        output=ns.output,
-        effort=ns.effort,
-        order=getattr(ns, "order", None),
-        connected_only=getattr(ns, "connected_only", False),
-    )
+    if "effort" in ns:
+        if ns.effort is None:  # unset or empty WALKSPEC_EFFORT: the default
+            text = _env("EFFORT")
+            try:
+                ns.effort = int(text) if text else numtheory.DEFAULT_FACTOR_EFFORT
+            except ValueError:
+                raise UsageError(
+                    f"bad WALKSPEC_EFFORT {text!r}: not an integer") from None
+        if ns.effort < 0:
+            raise UsageError("--effort must be nonnegative")
 
 
 def _read_text(path: str) -> str:
@@ -184,17 +158,17 @@ def _read_text(path: str) -> str:
             f"offset {exc.start}") from None
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    if cfg.inline_graph is not None:
-        if cfg.input_path is not None:
+def _load_graph(ns: argparse.Namespace) -> Graph:
+    if ns.inline is not None:
+        if ns.input is not None:
             raise UsageError("give either an input file or --graph, not both")
-        if cfg.fmt != "graph6":
+        if ns.fmt != "graph6":
             raise UsageError("--graph accepts graph6 text only")
-        return parse_graph6(cfg.inline_graph)
-    if cfg.input_path is None:
+        return parse_graph6(ns.inline)
+    if ns.input is None:
         raise UsageError("no input: give a file path, '-', or --graph")
-    text = _read_text(cfg.input_path)
-    if cfg.fmt == "graph6":
+    text = _read_text(ns.input)
+    if ns.fmt == "graph6":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise GraphParseError("no graph6 line in input")
@@ -202,20 +176,22 @@ def _load_graph(cfg: RunConfig) -> Graph:
     return parse_edge_list(text)
 
 
-def _load_pool(cfg: RunConfig) -> list[Graph]:
-    if (cfg.order is None) == (cfg.input_path is None):
+def _load_pool(ns: argparse.Namespace) -> list[Graph]:
+    if (ns.order is None) == (ns.input is None):
         raise UsageError("give exactly one of --n or an input file")
-    if cfg.order is not None:
-        if not 1 <= cfg.order <= ENUMERATION_CAP:
+    if ns.order is not None:
+        if not 1 <= ns.order <= ENUMERATION_CAP:
             raise UsageError(
                 f"--n must be in 1..{ENUMERATION_CAP}; larger orders need a file")
-        return list(enumerate_graphs(cfg.order, connected_only=cfg.connected_only))
-    text = _read_text(cfg.input_path)
+        return list(enumerate_graphs(ns.order, connected_only=ns.connected_only))
+    if ns.connected_only:
+        raise UsageError("--connected-only restricts --n, not an input file")
+    text = _read_text(ns.input)
     return [parse_graph6(ln) for ln in text.splitlines() if ln.strip()]
 
 
-def _emit(obj: dict, cfg: RunConfig) -> None:
-    if cfg.output == "json":
+def _emit(obj: dict, output: str) -> None:
+    if output == "json":
         print(json.dumps(obj, indent=2))
     else:
         for key, val in obj.items():
@@ -229,15 +205,15 @@ def _emit(obj: dict, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    report = criterion_check(g, cfg.alpha, factor_effort=cfg.effort)
-    _emit(report_to_json(report), cfg)
+def cmd_check(ns: argparse.Namespace) -> int:
+    g = _load_graph(ns)
+    report = criterion_check(g, ns.alpha, factor_effort=ns.effort)
+    _emit(report_to_json(report), ns.output)
     return _VERDICT_EXIT[report.verdict]
 
 
-def cmd_batch(cfg: RunConfig) -> int:
-    text = _read_text(cfg.input_path)
+def cmd_batch(ns: argparse.Namespace) -> int:
+    text = _read_text(ns.input)
     counts: dict[str, int] = {}
     total = errors = 0
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -246,8 +222,8 @@ def cmd_batch(cfg: RunConfig) -> int:
         total += 1
         try:
             rec = report_to_json(
-                criterion_check(parse_graph6(line), cfg.alpha,
-                                factor_effort=cfg.effort))
+                criterion_check(parse_graph6(line), ns.alpha,
+                                factor_effort=ns.effort))
         except (GraphParseError, ValueError) as exc:
             rec = {"schema": 1, "line": lineno, "error": str(exc)}
             errors += 1
@@ -262,15 +238,15 @@ def cmd_batch(cfg: RunConfig) -> int:
     return EXIT_FAILED if errors else EXIT_CERTIFIED
 
 
-def cmd_snf(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def cmd_snf(ns: argparse.Namespace) -> int:
+    g = _load_graph(ns)
     n = g.n
-    divisors = smith_divisors(walk_matrix(g, cfg.alpha))
+    divisors = smith_divisors(walk_matrix(g, ns.alpha))
     singular = divisors[-1] == 0
     out: dict = {
         "schema": 1,
         "n": n,
-        "alpha": str(cfg.alpha),
+        "alpha": str(ns.alpha),
         "divisors": [str(d) for d in divisors],
         "singular": singular,
     }
@@ -285,35 +261,35 @@ def cmd_snf(cfg: RunConfig) -> int:
         b = divisors[-1] // 2
         out["B"] = str(b)
         try:
-            free, witness = numtheory.is_square_free(b, effort=cfg.effort)
+            free, witness = numtheory.is_square_free(b, effort=ns.effort)
             out["B_square_free"] = free
             if witness is not None:
                 out["B_square_witness"] = str(witness)
         except numtheory.FactorizationBudgetError:
             out["B_square_free"] = None
-    _emit(out, cfg)
+    _emit(out, ns.output)
     return EXIT_CERTIFIED
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    key = spectrum_key(g, cfg.alpha)
+def cmd_spectrum(ns: argparse.Namespace) -> int:
+    g = _load_graph(ns)
+    key = spectrum_key(g, ns.alpha)
     _emit({
         "schema": 1,
         "n": g.n,
-        "alpha": str(cfg.alpha),
+        "alpha": str(ns.alpha),
         "poly": [str(c) for c in key.poly],
         "poly_complement": [str(c) for c in key.poly_complement],
-    }, cfg)
+    }, ns.output)
     return EXIT_CERTIFIED
 
 
-def cmd_mates(cfg: RunConfig) -> int:
-    pool = _load_pool(cfg)
-    classes = find_mate_classes(pool, cfg.alpha)
+def cmd_mates(ns: argparse.Namespace) -> int:
+    pool = _load_pool(ns)
+    classes = find_mate_classes(pool, ns.alpha)
     payload = {
         "schema": 1,
-        "alpha": str(cfg.alpha),
+        "alpha": str(ns.alpha),
         "graph_count": len(pool),
         "class_count": len(classes),
         "nontrivial_count": sum(1 for c in classes if c.nontrivial),
@@ -323,7 +299,7 @@ def cmd_mates(cfg: RunConfig) -> int:
             "poly_complement": [str(x) for x in c.key.poly_complement],
         } for c in classes if c.nontrivial],
     }
-    if cfg.output == "table":
+    if ns.output == "table":
         print(f"graphs: {payload['graph_count']}")
         print(f"classes: {payload['class_count']}")
         print(f"nontrivial: {payload['nontrivial_count']}")
@@ -334,11 +310,11 @@ def cmd_mates(cfg: RunConfig) -> int:
     return EXIT_CERTIFIED
 
 
-def cmd_verify_theorem(cfg: RunConfig) -> int:
-    pool = _load_pool(cfg)
-    report = verify_theorem(pool, cfg.alpha, factor_effort=cfg.effort)
+def cmd_verify_theorem(ns: argparse.Namespace) -> int:
+    pool = _load_pool(ns)
+    report = verify_theorem(pool, ns.alpha, factor_effort=ns.effort)
     payload = verification_to_json(report)
-    if cfg.output == "table":
+    if ns.output == "table":
         print(f"graphs: {payload['graph_count']}")
         print(f"classes: {payload['class_count']}")
         print(f"certified: {len(payload['certified'])}")
@@ -367,8 +343,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-        cfg = _config(ns)
-        return _COMMANDS[ns.command](cfg)
+        _config(ns)
+        return _COMMANDS[ns.command](ns)
     except _ParserExit as exc:
         return exc.status
     except UsageError as exc:

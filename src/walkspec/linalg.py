@@ -20,21 +20,23 @@ class SingularMatrixError(ArithmeticError):
 
 
 class IntMatrix:
-    """Immutable dense matrix of Python ints."""
+    """Immutable dense matrix of Python ints; any other entry type, bool
+    included, is a TypeError rather than a silent conversion."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Sequence[Sequence[int]]):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        packed = []
-        for r in data:
+        packed = tuple(map(tuple, data))
+        cols = len(packed[0]) if packed else 0
+        for r in packed:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-            packed.append(tuple(int(x) for x in r))
-        self.rows = rows
+            for x in r:
+                if type(x) is not int:
+                    raise TypeError(f"matrix entry {x!r} is not an int")
+        self.rows = len(packed)
         self.cols = cols
-        self._data = tuple(packed)
+        self._data = packed
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:

@@ -12,6 +12,7 @@ Smith divisor.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -51,10 +52,18 @@ class OrthogonalCertificate:
     target: str  # graph6 of the target graph
 
 
-def _keyed_pool(graphs: Iterable[Graph],
-                alpha: AlphaParam) -> list[tuple[Graph, SpectrumKey, bytes]]:
+# (graph, spectrum key, canonical form or None) per pool graph
+_Keyed = list[tuple[Graph, SpectrumKey, bytes | None]]
+
+
+def _keyed_pool(graphs: Iterable[Graph], alpha: AlphaParam) -> _Keyed:
     """(graph, spectrum key, canonical form) for every graph of one order,
-    each computed once; the grouping functions below share this pass."""
+    each computed at most once; the grouping functions below share this pass.
+
+    Isomorphic graphs share a spectrum key, so a mate class needs dedup and
+    member order only where two or more pool graphs share its key. The form
+    is computed there and left None for a graph alone with its key.
+    """
     pool = list(graphs)
     if not pool:
         return []
@@ -63,11 +72,14 @@ def _keyed_pool(graphs: Iterable[Graph],
         raise ValueError("all graphs must have the same order")
     if n > CANONICAL_CAP:
         raise ValueError(f"mate search supports at most {CANONICAL_CAP} vertices")
-    return [(g, spectrum_key(g, alpha), canonical_form(g)) for g in pool]
+    keys = [spectrum_key(g, alpha) for g in pool]
+    shared = Counter(keys)
+    return [(g, key, canonical_form(g) if shared[key] > 1 else None)
+            for g, key in zip(pool, keys)]
 
 
-def _mate_classes(keyed: list[tuple[Graph, SpectrumKey, bytes]]) -> list[MateClass]:
-    groups: dict[SpectrumKey, dict[bytes, Graph]] = {}
+def _mate_classes(keyed: _Keyed) -> list[MateClass]:
+    groups: dict[SpectrumKey, dict[bytes | None, Graph]] = {}
     for g, key, form in keyed:
         groups.setdefault(key, {}).setdefault(form, g)
     out = []
@@ -78,19 +90,20 @@ def _mate_classes(keyed: list[tuple[Graph, SpectrumKey, bytes]]) -> list[MateCla
     return out
 
 
-def _plain_only_classes(keyed: list[tuple[Graph, SpectrumKey, bytes]]
-                        ) -> list[tuple[Graph, ...]]:
-    by_poly: dict[tuple[int, ...], dict[bytes, tuple[Graph, SpectrumKey]]] = {}
-    for g, key, form in keyed:
-        by_poly.setdefault(key.poly, {}).setdefault(form, (g, key))
+def _plain_only_classes(keyed: _Keyed) -> list[tuple[Graph, ...]]:
+    by_poly: dict[tuple[int, ...], _Keyed] = {}
+    for entry in keyed:
+        by_poly.setdefault(entry[1].poly, []).append(entry)
     out = []
     for poly in sorted(by_poly):
-        reps = by_poly[poly]
-        if len(reps) < 2:
+        group = by_poly[poly]
+        if len({key for _, key, _ in group}) < 2:
             continue
-        keys = {key for _, key in reps.values()}
-        if len(keys) > 1:
-            out.append(tuple(reps[form][0] for form in sorted(reps)))
+        # members are ordered by form; a graph alone with its key has none yet
+        reps: dict[bytes, Graph] = {}
+        for g, _, form in group:
+            reps.setdefault(canonical_form(g) if form is None else form, g)
+        out.append(tuple(reps[form] for form in sorted(reps)))
     return out
 
 

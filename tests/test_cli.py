@@ -213,6 +213,21 @@ def test_order_7_output_bytes_are_pinned(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# orders 5-11, one malformed line; every verdict but the excluded ones shows
+BATCH_POOL = ("Di?", "EAFO", "FA]\\O", "GKV}R?", "not-a-graph", "HYIiKbB",
+              "IuJssIFGg", "Jp{F]iNjq[?", "HaQP`@~", "JtHs[aBfSd?")
+
+
+def test_batch_output_bytes_are_pinned(capsys, tmp_path):
+    # sha256 of stdout, recorded before the per-command option sets
+    path = tmp_path / "pool.g6"
+    path.write_text("".join(line + "\n" for line in BATCH_POOL))
+    code, out, _ = _run(capsys, "batch", "--alpha", "1/2", str(path))
+    assert code == EXIT_FAILED
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "125eba0f18dbd238e9f4f3de92a4a63c15017bdc0dde5c4e84e199519dbb802e")
+
+
 # ---------------------------------------------------------------------------
 # environment defaults and usage errors
 # ---------------------------------------------------------------------------
@@ -268,6 +283,11 @@ def test_usage_errors(capsys, tmp_path):
     path.write_text("Bw\n")
     code, _, err = _run(capsys, "mates", "--alpha", "0", "--n", "3", str(path))
     assert code == EXIT_USAGE
+    for command in ("mates", "verify-theorem"):  # the flag restricts --n only
+        code, out, err = _run(capsys, command, "--alpha", "0",
+                              "--connected-only", str(path))
+        assert code == EXIT_USAGE, command
+        assert out == "" and err.startswith("error:"), command
 
 
 def test_non_ascii_inline_graph_is_a_parse_error(capsys):
@@ -304,6 +324,48 @@ def test_removed_flags_are_usage_errors(capsys, monkeypatch):
         code, out, err = _run(capsys, "check", "--alpha", "0", "--graph", "E@Uw")
         assert (code, out, err) == (EXIT_CERTIFIED, baseline, ""), name
         monkeypatch.delenv(f"WALKSPEC_{name}")
+
+
+# each command's options beside --alpha and the input file, and a valid
+# value for every option of any command
+OWN_OPTIONS = {
+    "check": ("--format", "--output", "--effort", "--graph"),
+    "snf": ("--format", "--output", "--effort", "--graph"),
+    "spectrum": ("--format", "--output", "--graph"),
+    "batch": ("--effort",),
+    "mates": ("--output", "--n", "--connected-only"),
+    "verify-theorem": ("--output", "--effort", "--n", "--connected-only"),
+}
+OPTION_ARGS = {"--format": ("--format", "graph6"), "--output": ("--output", "json"),
+               "--effort": ("--effort", "5"), "--graph": ("--graph", "E@Uw"),
+               "--n": ("--n", "4"), "--connected-only": ("--connected-only",)}
+
+
+@pytest.mark.parametrize("command", list(OWN_OPTIONS))
+def test_each_command_accepts_only_its_own_options(capsys, monkeypatch,
+                                                   tmp_path, command):
+    def args(flags):
+        return [arg for flag in flags for arg in OPTION_ARGS[flag]]
+
+    path = tmp_path / "g.g6"
+    path.write_text("E@Uw\n")
+    own = OWN_OPTIONS[command]
+    argv = [command, "--alpha", "0", *([str(path)] if command == "batch" else [])]
+    code, out, err = _run(capsys, *argv, *args(own))
+    assert code != EXIT_USAGE and out and err == ""
+    for flag in OPTION_ARGS:
+        if flag not in own:
+            code, out, err = _run(capsys, *argv, *args(own), *OPTION_ARGS[flag])
+            assert code == EXIT_USAGE, flag
+            assert out == ""
+            assert err.startswith("error: unrecognized arguments") and flag in err
+    # an environment default reaches only the commands that have its flag
+    monkeypatch.setenv("WALKSPEC_EFFORT", "abc")
+    code, out, err = _run(capsys, *argv, *args(f for f in own if f != "--effort"))
+    if "--effort" in own:
+        assert code == EXIT_USAGE and "WALKSPEC_EFFORT" in err
+    else:
+        assert code != EXIT_USAGE and out and err == ""
 
 
 def test_help_returns_from_main(capsys):

@@ -1,6 +1,7 @@
 """Exact linear algebra kernels checked against independent small oracles."""
 
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -51,6 +52,15 @@ def test_int_matrix_validation():
         a.matvec([1, 2, 3])
     with pytest.raises(ValueError):
         b.trace()
+    # entries are never truncated or coerced (int() would turn 3/2 into 1)
+    for bad in (Fraction(3, 2), 0.9, 2.5, True, "7", None):
+        with pytest.raises(TypeError):
+            IntMatrix([[1, 0], [0, bad]])
+    with pytest.raises(TypeError):
+        det_bareiss(IntMatrix([[2.5, 0], [0, 2.5]]))
+    for empty in ([], ()):
+        m = IntMatrix(empty)
+        assert (m.rows, m.cols, m.to_lists()) == (0, 0, [])
 
 
 def test_int_matrix_arithmetic():

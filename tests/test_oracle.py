@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from walkspec.criterion import ALPHA_HALF, ALPHA_ZERO, AlphaParam, Verdict, walk_matrix
+from walkspec.criterion import (ALPHA_HALF, ALPHA_ZERO, AlphaParam, Verdict,
+                                spectrum_key, walk_matrix)
 from walkspec.graphs import (
     Graph,
     canonical_form,
@@ -85,6 +86,31 @@ def test_find_mate_classes_dedups_isomorphic_input():
     classes = find_mate_classes([g, h], ALPHA_ZERO)
     assert len(classes) == 1
     assert len(classes[0].members) == 1
+
+
+@pytest.mark.parametrize("alpha", [ALPHA_ZERO, ALPHA_HALF])
+def test_grouping_matches_canonicalizing_every_graph(alpha):
+    """Forms are computed only where the grouping needs them; the classes
+    and plain-only groups equal those of a pass that canonicalizes all."""
+    rng = random.Random(71)
+    pool = list(enumerate_graphs(6))
+    pool += [relabel(g, rng.sample(range(6), 6)) for g in rng.sample(pool, 40)]
+    rng.shuffle(pool)
+    by_key = {}
+    for g in pool:
+        key = spectrum_key(g, alpha)
+        by_key.setdefault(key, {}).setdefault(canonical_form(g), g)
+    expected = [(key, tuple(reps[f] for f in sorted(reps)))
+                for key, reps in sorted(by_key.items())]
+    assert [(c.key, c.members) for c in find_mate_classes(pool, alpha)] == expected
+    by_poly = {}
+    for key, members in expected:
+        by_poly.setdefault(key.poly, []).extend(
+            (canonical_form(g), key, g) for g in members)
+    plain = [tuple(g for _, _, g in sorted(grp, key=lambda t: t[0]))
+             for _, grp in sorted(by_poly.items())
+             if len({key for _, key, _ in grp}) > 1]
+    assert plain_cospectral_only_classes(pool, alpha) == plain
 
 
 def test_find_mate_classes_validation():
@@ -237,9 +263,10 @@ def test_verify_theorem_exercises_pair_checks():
 
 
 def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
-    # keys and canonical forms come from one pass over the pool, and each
-    # graph's walk matrix is built once, for its verdict and, in a mate
-    # pair, for its certificate and Smith divisors
+    # keys come from one pass over the pool, canonical forms only for the
+    # graphs that share a key or a plain-only polynomial, and each graph's
+    # walk matrix is built once, for its verdict and, in a mate pair, for
+    # its certificate and Smith divisors
     import walkspec.criterion as criterion
     import walkspec.oracle as oracle
     calls = {"spectrum_key": 0, "canonical_form": 0, "walk_matrix": 0}
@@ -262,8 +289,10 @@ def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
     assert report.ok
     assert len(report.pair_checks) == 1
     assert len(report.verdicts) == len(pool)
+    # only the mate pair shares a polynomial (and a key); the empty and
+    # complete graphs are alone with theirs
     assert calls == {"spectrum_key": len(pool),
-                     "canonical_form": len(pool),
+                     "canonical_form": 2,
                      "walk_matrix": len(report.verdicts)}
 
 

@@ -68,7 +68,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env(name: str, fallback: str | None = None) -> str | None:
-    return os.environ.get(f"WALKSPEC_{name}", fallback)
+    """WALKSPEC_<name>, or fallback when it is unset or empty."""
+    return os.environ.get(f"WALKSPEC_{name}") or fallback
+
+
+# argparse checks choices only on command-line values, not on the
+# WALKSPEC_* defaults, so _config checks these
+_CHOICES = {"fmt": ("FORMAT", ("graph6", "edgelist")),
+            "output": ("OUTPUT", ("json", "table"))}
 
 
 def _options() -> _Parser:
@@ -86,18 +93,19 @@ def _build_parser() -> _Parser:
                        required=_env("ALPHA") is None,
                        help="rational alpha as p/q in [0, 1), e.g. 3/4")
     fmt = _options()
-    fmt.add_argument("--format", dest="fmt", choices=("graph6", "edgelist"),
+    fmt.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"][1],
                      default=_env("FORMAT", "graph6"),
                      help="input format (default graph6)")
     output = _options()
-    output.add_argument("--output", choices=("json", "table"),
+    output.add_argument("--output", choices=_CHOICES["output"][1],
                         default=_env("OUTPUT", "table"),
                         help="report rendering (default table)")
     # default None: _config reads WALKSPEC_EFFORT, so only commands with
     # --effort parse it
     effort = _options()
     effort.add_argument("--effort", type=int,
-                        help="factorization effort cap (rho iterations)")
+                        help="factorization effort cap, in rho steps; an ECM "
+                             "curve is charged by its multiplications")
     graph = _options()
     graph.add_argument("input", nargs="?", help="input file ('-' for stdin)")
     graph.add_argument("--graph", dest="inline",
@@ -127,11 +135,17 @@ def _build_parser() -> _Parser:
 
 
 def _config(ns: argparse.Namespace) -> None:
-    """Parse --alpha in place; default and check --effort where it exists."""
+    """Parse --alpha in place; check the --format and --output defaults, and
+    default and check --effort, where they exist."""
     try:
         ns.alpha = AlphaParam.parse(ns.alpha)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --alpha {ns.alpha!r}: {exc}") from None
+    for dest, (name, choices) in _CHOICES.items():
+        value = getattr(ns, dest, choices[0])
+        if value not in choices:
+            raise UsageError(f"bad WALKSPEC_{name} {value!r}: "
+                             f"choose from {', '.join(choices)}")
     if "effort" in ns:
         if ns.effort is None:  # unset or empty WALKSPEC_EFFORT: the default
             text = _env("EFFORT")

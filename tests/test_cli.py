@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import read_fixture
+from conftest import FIXTURES, read_fixture
 from walkspec.cli import EXIT_CERTIFIED, EXIT_FAILED, EXIT_LIMITED, EXIT_USAGE, main
 
 G13 = read_fixture("dgas13.g6").strip()
@@ -257,6 +257,32 @@ def test_malformed_integer_env_is_a_usage_error(capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and "WALKSPEC_EFFORT" in err
+
+
+def test_unknown_format_or_output_env_is_a_usage_error(capsys, monkeypatch):
+    for name, value, argv in (
+            ("FORMAT", "xyz", ("check", "--alpha", "3/4", str(FIXTURES / "dgas14.g6"))),
+            ("OUTPUT", "jsn", ("spectrum", "--alpha", "0", "--graph", "DqK"))):
+        monkeypatch.setenv(f"WALKSPEC_{name}", value)
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_USAGE, name
+        assert out == ""
+        assert err.startswith("error:") and f"WALKSPEC_{name}" in err, name
+        # a command without the flag does not read the variable
+        code, out, err = _run(capsys, "batch", "--alpha", "3/4",
+                              str(FIXTURES / "dgas14.g6"))
+        assert code == EXIT_CERTIFIED and out and err == "", name
+        monkeypatch.delenv(f"WALKSPEC_{name}")
+
+
+def test_empty_alpha_env_counts_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv("WALKSPEC_ALPHA", "")
+    code, out, err = _run(capsys, "spectrum", "--graph", "DqK")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "required: --alpha" in err
+    code, _, err = _run(capsys, "spectrum", "--alpha", "0", "--graph", "DqK")
+    assert code == EXIT_CERTIFIED and err == ""
 
 
 def test_usage_errors(capsys, tmp_path):

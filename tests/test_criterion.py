@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import read_fixture
+from conftest import read_fixture, reference_factorize
+from walkspec import numtheory
 from walkspec.criterion import (
     ALPHA_HALF,
     ALPHA_ZERO,
@@ -29,6 +30,7 @@ from walkspec.graphs import (
     relabel,
 )
 from walkspec.linalg import IntMatrix, det_bareiss
+from walkspec.numtheory import RHO_SHARE, FactorizationBudgetError
 
 ALPHAS = [AlphaParam.parse(s) for s in ("0", "1/2", "1/3", "2/3", "3/4", "5/6")]
 
@@ -273,6 +275,48 @@ def test_undecided_factorization_verdict():
     assert not report.factorization_complete
     assert report.is_square_free is None
     assert report.factorization is None
+
+
+def test_order_16_check_decided_by_ecm():
+    """Rho alone leaves this check UNDECIDED_FACTORIZATION at the default
+    effort; ECM splits the 39-digit cofactor, and the rank mod 3 fails."""
+    g = parse_graph6("OVgwclKjqV@?jdl||L`Lu")
+    report = criterion_check(g, AlphaParam(2, 3))
+    assert report.verdict == Verdict.FAILS_ARITHMETIC
+    assert report.factorization_complete and report.is_square_free
+    assert report.factorization == (
+        (3, 1), (5, 1), (11789, 1), (52583, 1), (514062274673, 1),
+        (26247507633517, 1), (45514326819323, 1))
+    assert report.prime_ranks == ((3, 15),)
+
+
+def test_reports_decided_by_rho_are_unchanged(monkeypatch):
+    """Differential: on a seeded pool of orders 10..22, every report that
+    trial division plus rho alone decides is byte-identical at the default
+    effort. Draws that rho alone cannot decide within reference_effort are
+    skipped, because at the full default effort each takes seconds; a
+    report decided there is decided identically at any larger effort."""
+    reference_effort = 1_000_000
+    rng = random.Random(2)
+    compared = via_ecm = 0
+    for alpha in (ALPHA_ZERO, ALPHA_HALF, AlphaParam(3, 4)):
+        for _ in range(30):
+            g = _random_graph(rng, rng.randint(10, 22))
+            with monkeypatch.context() as m:
+                m.setattr(numtheory, "factorize", reference_factorize)
+                ref = criterion_check(g, alpha, factor_effort=reference_effort)
+            if not ref.factorization_complete:
+                continue
+            new = criterion_check(g, alpha)
+            assert (json.dumps(report_to_json(new))
+                    == json.dumps(report_to_json(ref))), encode_graph6(g)
+            compared += 1
+            if ref.factorization is not None:
+                try:
+                    reference_factorize(abs(int(ref.reduced)), effort=RHO_SHARE)
+                except FactorizationBudgetError:
+                    via_ecm += 1  # rho's share did not suffice: ECM split it
+    assert compared >= 80 and via_ecm >= 2, (compared, via_ecm)
 
 
 def test_certified_fixture_verdict():

@@ -1,10 +1,14 @@
 """Primality, factorization, and square-free tests against a sieve oracle."""
 
 import random
+from math import prod
 
 import pytest
 
+from conftest import reference_factorize
+from walkspec import numtheory
 from walkspec.numtheory import (
+    RHO_SHARE,
     FactorizationBudgetError,
     factorize,
     is_probable_prime,
@@ -137,6 +141,62 @@ def test_factorize_is_deterministic():
     assert factorize(hard).factors == factorize(hard).factors
     big = 2 ** 127 - 1
     assert is_probable_prime(big) == is_probable_prime(big)
+    # split by ECM: the curves are seeded from the composite
+    ecm = 514062274673 * 26247507633517 * 45514326819323
+    assert factorize(ecm).factors == factorize(ecm).factors
+
+
+def _random_prime(rng, digits):
+    while True:
+        p = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        if is_probable_prime(p):
+            return p
+
+
+def _outcome(factor, x, effort):
+    try:
+        return factor(x, effort=effort).factors
+    except FactorizationBudgetError as exc:
+        return str(exc)
+
+
+def test_factorize_matches_rho_reference_up_to_rho_share(monkeypatch):
+    """At effort <= RHO_SHARE rho is the only splitting method: the same
+    factors, or the same budget error, as trial division plus rho alone,
+    and no ECM curve runs."""
+    def no_curve(*args):
+        raise AssertionError("ECM ran at an effort within rho's share")
+
+    monkeypatch.setattr(numtheory, "_ecm_curve", no_curve)
+    rng = random.Random(304)
+    composites = [(10 ** 9 + 7) * (10 ** 9 + 9), 2 ** 67 - 1, 3 ** 5 * 1000003 ** 2]
+    for _ in range(20):
+        primes = [_random_prime(rng, rng.randint(7, 12))
+                  for _ in range(rng.randint(2, 3))]
+        composites.append(rng.randint(1, 10 ** 4) * prod(primes))
+    outcomes = set()
+    for x in composites:
+        for effort in (0, 10, 300, 4_000, 20_000, 40_000, RHO_SHARE):
+            expect = _outcome(reference_factorize, x, effort)
+            assert _outcome(factorize, x, effort) == expect, (x, effort)
+            outcomes.add(isinstance(expect, str))
+    assert outcomes == {False, True}  # both paths were exercised
+
+
+def test_factorize_splits_the_order_16_cofactor():
+    """The 39-digit cofactor of an order-16 walk determinant at alpha 2/3;
+    rho alone does not split it within the default effort."""
+    primes = (514062274673, 26247507633517, 45514326819323)
+    assert factorize(prod(primes)).factors == tuple((p, 1) for p in primes)
+
+
+def test_factorize_products_of_10_to_16_digit_primes():
+    rng = random.Random(305)
+    for _ in range(10):
+        primes = sorted(_random_prime(rng, rng.randint(10, 16))
+                        for _ in range(rng.randint(2, 3)))
+        expect = tuple((p, primes.count(p)) for p in sorted(set(primes)))
+        assert factorize(prod(primes)).factors == expect, primes
 
 
 # ---------------------------------------------------------------------------

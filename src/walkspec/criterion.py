@@ -9,7 +9,7 @@ full rank mod every odd prime dividing c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -117,19 +117,17 @@ def auxiliary_walk_matrices(g: Graph, alpha: AlphaParam) -> AuxWalkMatrices:
     n = g.n
     if n < 2:
         raise ValueError("auxiliary walk matrices need at least 2 vertices")
-    # power_cols[k] = M^k 1 / c  (computed as M^(k-1) d for k >= 1)
-    power_cols = [[1] * n] + _power_columns(
-        alpha_matrix(g, alpha), list(degree_vector(g)), n - 2)
+    # column k of w is M^k 1 / c
+    w = walk_matrix(g, alpha)
     if n % 2 == 0:
         half_exps = range(0, n // 2)
         even_exps = range(0, n, 2)
     else:
         half_exps = range(1, (n - 1) // 2 + 1)
         even_exps = range(2, n, 2)
-    half = IntMatrix.from_columns([power_cols[e] for e in half_exps])
-    even = IntMatrix.from_columns([power_cols[e] for e in even_exps])
-    doubled = IntMatrix.from_columns(
-        [[2] * n] + [power_cols[e] for e in range(1, n)])
+    half = IntMatrix.from_columns([w.column(e) for e in half_exps])
+    even = IntMatrix.from_columns([w.column(e) for e in even_exps])
+    doubled = IntMatrix.from_columns([[2] * n] + [w.column(e) for e in range(1, n)])
     return AuxWalkMatrices(half, even, doubled)
 
 
@@ -212,6 +210,7 @@ class CriterionReport:
     prime_ranks: tuple[tuple[int, int], ...]  # (p, rank mod p) for odd p | c_alpha
     connected: bool
     verdict: Verdict
+    walk: IntMatrix = field(repr=False, compare=False)  # normalized W
 
     @property
     def arithmetic_ok(self) -> bool:
@@ -231,12 +230,7 @@ def criterion_check(g: Graph, alpha: AlphaParam, *,
     arithmetic tests (with an undecided escape when the factorization
     budget expires), then the even-order/odd-c exclusion, then certified.
     """
-    return _report_from_walk(g, alpha, walk_matrix(g, alpha), factor_effort)
-
-
-def _report_from_walk(g: Graph, alpha: AlphaParam, w: IntMatrix,
-                      factor_effort: int | None) -> CriterionReport:
-    """criterion_check given the normalized walk matrix w of g."""
+    w = walk_matrix(g, alpha)
     effort = numtheory.DEFAULT_FACTOR_EFFORT if factor_effort is None else factor_effort
     n = g.n
     c = alpha.c_alpha
@@ -283,7 +277,7 @@ def _report_from_walk(g: Graph, alpha: AlphaParam, w: IntMatrix,
         reduced_integral=integral, is_odd=odd, is_square_free=square_free,
         square_witness=witness, factorization=factors,
         factorization_complete=complete, prime_ranks=ranks,
-        connected=is_connected(g), verdict=verdict)
+        connected=is_connected(g), verdict=verdict, walk=w)
 
 
 def report_to_json(report: CriterionReport) -> dict:

@@ -4,11 +4,16 @@ Everything here is pure bigint arithmetic: fraction-free determinants and
 linear solves, integer characteristic polynomials, ranks over prime fields,
 and the invariant factors (Smith divisors) of integer matrices. No floating
 point.
+
+The determinant and the Smith divisors share one fraction-free row echelon
+pass. Its rank r and last pivot, a nonzero r x r minor, give the determinant
+and the modulus that bounds every entry of the Smith elimination, for any
+shape and rank.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
@@ -111,36 +116,50 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def det_bareiss(m: IntMatrix) -> int:
-    """Bareiss's fraction-free Gaussian elimination; every interior division
-    is exact."""
-    if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
+def _echelon(m: IntMatrix) -> tuple[int, int]:
+    """(rank r, last pivot) of m by Bareiss's fraction-free row echelon.
+
+    A column with no pivot in the remaining rows is skipped; every interior
+    division is still exact, because each entry stays a minor of m. The last
+    pivot is the nonzero r x r minor on the pivot rows and columns (1 when
+    r = 0), signed as the determinant when m is square and nonsingular.
+    """
+    rows, cols = m.rows, m.cols
     a = m.to_lists()
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
+    r = 0
+    for k in range(cols):
+        if r == rows:
+            break
+        if a[r][k] == 0:
+            for i in range(r + 1, rows):
                 if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
+                    a[r], a[i] = a[i], a[r]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
+                continue
+        top = a[r]
+        pivot = top[k]
+        for i in range(r + 1, rows):
             row = a[i]
-            top = a[k]
             lead = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, cols):
                 row[j] = (row[j] * pivot - lead * top[j]) // prev
             row[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+        r += 1
+    return r, sign * prev
+
+
+def det_bareiss(m: IntMatrix) -> int:
+    """Determinant: the last pivot of the fraction-free echelon when it has
+    full rank, else 0."""
+    if not m.is_square:
+        raise ValueError("determinant requires a square matrix")
+    r, minor = _echelon(m)
+    return minor if r == m.rows else 0
 
 
 def solve_fraction_free(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
@@ -254,78 +273,56 @@ def _xgcd(u: int, v: int) -> tuple[int, int, int]:
     return r0, x0, y0
 
 
-def _eliminate(a: list[list[int]], rows: int, cols: int,
-               mod: int | None = None) -> None:
-    """Diagonalize `a` in place by unimodular row and column operations.
+def _eliminate(a: list[list[int]], rows: int, cols: int, mod: int) -> None:
+    """Diagonalize `a`, entries in [0, mod), in place by unimodular row and
+    column operations, reducing every updated entry into [0, mod) again.
 
     Each non-divisible clear is a single 2x2 Bezout block (det 1), so the
     pivot strictly shrinks instead of walking a remainder chain through the
-    whole row.
-
-    With `mod` set, every updated entry is reduced into [0, mod); the caller
-    owns mapping the residue diagonal back to true divisors.
+    whole row. The caller owns mapping the residue diagonal back to true
+    divisors.
     """
 
     def row_sub(i: int, q: int, j: int) -> None:
         # row i -= q * row j
-        rj = a[j]
-        if mod is None:
-            a[i] = [x - q * y for x, y in zip(a[i], rj)]
-        else:
-            a[i] = [(x - q * y) % mod for x, y in zip(a[i], rj)]
+        a[i] = [(x - q * y) % mod for x, y in zip(a[i], a[j])]
 
     def col_sub(j: int, q: int, i: int) -> None:
         # col j -= q * col i
-        if mod is None:
-            for row in a:
-                row[j] -= q * row[i]
-        else:
-            for row in a:
-                row[j] = (row[j] - q * row[i]) % mod
+        for row in a:
+            row[j] = (row[j] - q * row[i]) % mod
 
     def bezout_row(t: int, i: int, p: int, b: int) -> int:
         # rows (t, i) <- [[x, y], [-b/g, p/g]] @ rows
         g, x, y = _xgcd(p, b)
         pg, bg = p // g, b // g
         rt, ri = a[t], a[i]
-        if mod is None:
-            a[t] = [x * u + y * v for u, v in zip(rt, ri)]
-            a[i] = [pg * v - bg * u for u, v in zip(rt, ri)]
-        else:
-            a[t] = [(x * u + y * v) % mod for u, v in zip(rt, ri)]
-            a[i] = [(pg * v - bg * u) % mod for u, v in zip(rt, ri)]
+        a[t] = [(x * u + y * v) % mod for u, v in zip(rt, ri)]
+        a[i] = [(pg * v - bg * u) % mod for u, v in zip(rt, ri)]
         return g
 
     def bezout_col(t: int, j: int, p: int, b: int) -> int:
         # cols (t, j) <- cols @ [[x, -b/g], [y, p/g]]
         g, x, y = _xgcd(p, b)
         pg, bg = p // g, b // g
-        if mod is None:
-            for row in a:
-                u, v = row[t], row[j]
-                row[t] = x * u + y * v
-                row[j] = pg * v - bg * u
-        else:
-            for row in a:
-                u, v = row[t], row[j]
-                row[t] = (x * u + y * v) % mod
-                row[j] = (pg * v - bg * u) % mod
+        for row in a:
+            u, v = row[t], row[j]
+            row[t] = (x * u + y * v) % mod
+            row[j] = (pg * v - bg * u) % mod
         return g
 
     size = min(rows, cols)
     for t in range(size):
-        # move the smallest-magnitude nonzero of the trailing block to (t, t)
+        # move the smallest nonzero of the trailing block to (t, t)
         best = None
         for i in range(t, rows):
             row = a[i]
             for j in range(t, cols):
                 x = row[j]
-                if x:
-                    x = -x if x < 0 else x
-                    if best is None or x < best[0]:
-                        best = (x, i, j)
-                        if x == 1:
-                            break
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+                    if x == 1:
+                        break
             if best is not None and best[0] == 1:
                 break
         if best is None:
@@ -336,8 +333,6 @@ def _eliminate(a: list[list[int]], rows: int, cols: int,
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
         while True:
             while True:
                 p = a[t][t]
@@ -378,38 +373,35 @@ def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of m: nonnegative, each dividing the next, one per
     min(rows, cols), zeros trailing.
 
-    A square nonsingular input takes a bounded-entry path: with d = |det m|,
-    d * I lies in the column lattice (m @ adj(m) = det(m) * I), so every
-    entry may be reduced mod d after each elementary operation and the true
-    divisors recovered as gcd(diagonal, d). Intermediate entries then never
-    exceed d, where the plain elimination can grow them exponentially.
+    One bounded-entry path for every shape and rank. The fraction-free
+    echelon gives the rank r and a nonzero r x r minor; with d = |minor|,
+    every nonzero invariant factor divides d, since s_1 ... s_r is the gcd
+    of all r x r minors. So every entry may be reduced mod d after each
+    elementary operation, where plain elimination can grow them
+    exponentially. The residue diagonal fixes the group of m over Z/d, so
+    gcd(diagonal, d), sorted into a chain, is s_1, ..., s_r followed by d
+    once per zero factor; those become 0 again.
     """
     rows, cols = m.rows, m.cols
-    if m.is_square and rows:
-        d = abs(det_bareiss(m))
-        if d == 1:
-            return (1,) * rows
-        if d:
-            a = [[x % d for x in row] for row in m._data]
-            _eliminate(a, rows, cols, mod=d)
-            out = [gcd(a[i][i], d) for i in range(rows)]
-            # the residue diagonal determines the group, but only prime by
-            # prime; pairwise gcd/lcm sweeps sort the exponents into a chain
-            changed = True
-            while changed:
-                changed = False
-                for i in range(rows - 1):
-                    x, y = out[i], out[i + 1]
-                    if y % x:
-                        g = gcd(x, y)
-                        out[i], out[i + 1] = g, x * y // g
-                        changed = True
-            prod = 1
-            for x in out:
-                prod *= x
-            if prod != d:
-                raise AssertionError("modular elimination lost a divisor")
-            return tuple(out)
-    a = m.to_lists()
-    _eliminate(a, rows, cols)
-    return tuple(a[i][i] for i in range(min(rows, cols)))
+    size = min(rows, cols)
+    r, minor = _echelon(m)
+    d = abs(minor)
+    if d == 1:
+        return (1,) * r + (0,) * (size - r)
+    a = [[x % d for x in row] for row in m._data]
+    _eliminate(a, rows, cols, d)
+    out = [gcd(a[i][i], d) for i in range(size)]
+    # the residue diagonal determines the group, but only prime by prime;
+    # pairwise gcd/lcm sweeps sort the exponents into a chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(size - 1):
+            x, y = out[i], out[i + 1]
+            if y % x:
+                g = gcd(x, y)
+                out[i], out[i + 1] = g, x * y // g
+                changed = True
+    if d % prod(out[:r]) or any(x != d for x in out[r:]):
+        raise AssertionError("modular elimination lost a divisor")
+    return tuple(out[:r]) + (0,) * (size - r)

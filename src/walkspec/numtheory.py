@@ -332,7 +332,8 @@ def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
 
     Raises FactorizationBudgetError when the effort runs out; never returns
     a guessed or partial factorization. For effort <= RHO_SHARE, ECM never
-    runs."""
+    runs; past it, a perfect-square cofactor is split by its square root
+    instead of by ECM."""
     if x < 1:
         raise ValueError("factorization is defined for positive integers")
     if x == 1:
@@ -364,7 +365,11 @@ def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
                         raise
                     schedule = _ecm_schedule()
             if schedule is not None:
-                d = _ecm(mcand, budget, schedule)
+                # ECM needs as long for p in p^2 as for any factor of p's
+                # size; a square root splits it at once
+                d = isqrt(mcand)
+                if d * d != mcand:
+                    d = _ecm(mcand, budget, schedule)
             pending.append(d)
             pending.append(mcand // d)
     return Factorization(x, tuple(sorted(counts.items())))

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .criterion import (AlphaParam, CriterionReport, SpectrumKey, Verdict,
-                        _report_from_walk, alpha_matrix, spectrum_key,
+                        alpha_matrix, criterion_check, spectrum_key,
                         walk_matrix)
 from .graphs import CANONICAL_CAP, Graph, canonical_form, encode_graph6
 from .linalg import IntMatrix, smith_divisors, solve_fraction_free
@@ -214,13 +214,10 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
         if size > 1:
             nontrivial.append(idx)
         reports: list[CriterionReport] = []
-        walks: list[IntMatrix] = []
         for g in cls.members:
             g6 = encode_graph6(g)
-            # one W per member serves its report and all of its pairs
-            w = walk_matrix(g, alpha)
-            rep = _report_from_walk(g, alpha, w, factor_effort)
-            walks.append(w)
+            # the report's W serves all of the member's pairs
+            rep = criterion_check(g, alpha, factor_effort=factor_effort)
             reports.append(rep)
             verdicts.append((g6, rep.verdict))
             if rep.verdict == Verdict.CERTIFIED_DGAS:
@@ -238,8 +235,8 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
                         skipped += 1
                         continue
                     cert = _certificate(cls.members[i], cls.members[j],
-                                        walks[i], walks[j], alpha)
-                    last = smith_divisors(walks[i])[-1]
+                                        reports[i].walk, reports[j].walk, alpha)
+                    last = smith_divisors(reports[i].walk)[-1]
                     divides = last % cert.level == 0
                     if not divides:
                         counterexamples.append(

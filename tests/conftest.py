@@ -58,6 +58,132 @@ def smith_reference(m):
     return tuple(out)
 
 
+# The plain-integer Smith elimination that ran on every singular or
+# non-square matrix before the bounded-entry path covered all shapes, kept
+# verbatim (names aside) as the reference that path's results must match.
+
+
+def _xgcd(u: int, v: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(u, v) >= 0 and x*u + y*v = g."""
+    r0, r1 = u, v
+    x0, x1 = 1, 0
+    y0, y1 = 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if r0 < 0:
+        r0, x0, y0 = -r0, -x0, -y0
+    return r0, x0, y0
+
+
+def _reference_eliminate(a: list[list[int]], rows: int, cols: int) -> None:
+    """Diagonalize `a` in place by unimodular row and column operations.
+
+    Each non-divisible clear is a single 2x2 Bezout block (det 1), so the
+    pivot strictly shrinks instead of walking a remainder chain through the
+    whole row.
+    """
+
+    def row_sub(i: int, q: int, j: int) -> None:
+        # row i -= q * row j
+        rj = a[j]
+        a[i] = [x - q * y for x, y in zip(a[i], rj)]
+
+    def col_sub(j: int, q: int, i: int) -> None:
+        # col j -= q * col i
+        for row in a:
+            row[j] -= q * row[i]
+
+    def bezout_row(t: int, i: int, p: int, b: int) -> int:
+        # rows (t, i) <- [[x, y], [-b/g, p/g]] @ rows
+        g, x, y = _xgcd(p, b)
+        pg, bg = p // g, b // g
+        rt, ri = a[t], a[i]
+        a[t] = [x * u + y * v for u, v in zip(rt, ri)]
+        a[i] = [pg * v - bg * u for u, v in zip(rt, ri)]
+        return g
+
+    def bezout_col(t: int, j: int, p: int, b: int) -> int:
+        # cols (t, j) <- cols @ [[x, -b/g], [y, p/g]]
+        g, x, y = _xgcd(p, b)
+        pg, bg = p // g, b // g
+        for row in a:
+            u, v = row[t], row[j]
+            row[t] = x * u + y * v
+            row[j] = pg * v - bg * u
+        return g
+
+    size = min(rows, cols)
+    for t in range(size):
+        # move the smallest-magnitude nonzero of the trailing block to (t, t)
+        best = None
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x:
+                    x = -x if x < 0 else x
+                    if best is None or x < best[0]:
+                        best = (x, i, j)
+                        if x == 1:
+                            break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        while True:
+            while True:
+                p = a[t][t]
+                for i in range(t + 1, rows):
+                    b = a[i][t]
+                    if b:
+                        q, r = divmod(b, p)
+                        if r:
+                            p = bezout_row(t, i, p, b)
+                        elif q:
+                            row_sub(i, q, t)
+                p = a[t][t]
+                dirty = False
+                for j in range(t + 1, cols):
+                    b = a[t][j]
+                    if b:
+                        q, r = divmod(b, p)
+                        if r:
+                            # recombining full columns re-dirties column t
+                            p = bezout_col(t, j, p, b)
+                            dirty = True
+                        elif q:
+                            col_sub(j, q, t)
+                if not dirty:
+                    break
+            p = a[t][t]
+            offender = None
+            for i in range(t + 1, rows):
+                if any(x % p for x in a[i][t + 1:cols]):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            row_sub(t, -1, offender)  # row t += offending row, then re-clear
+
+
+def plain_smith_divisors(m):
+    """Invariant factors by plain integer elimination, entries unreduced."""
+    a = m.to_lists()
+    _reference_eliminate(a, m.rows, m.cols)
+    return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+
+
 # The trial-division + Brent rho factorization that ran before ECM was added,
 # kept verbatim (names aside) as the reference that ECM's results must match.
 

@@ -144,6 +144,17 @@ def test_snf_singular_graph(capsys):
     assert "B" not in payload
 
 
+def test_snf_singular_order_40_output_bytes_are_pinned(capsys):
+    # sha256 of stdout, recorded from the plain-integer elimination that
+    # singular walk matrices took before the bounded-entry path covered them
+    code, out, _ = _run(capsys, "snf", "--alpha", "1/2", "--output", "json",
+                        str(FIXTURES / "singular40.g6"))
+    assert code == EXIT_CERTIFIED
+    assert json.loads(out)["singular"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "93e70d050a1612a8e4d93e04c7d5ea292759594ccc33915f7ad9fa123bb64eed")
+
+
 def test_spectrum_self_complementary(capsys):
     code, out, _ = _run(capsys, "spectrum", "--alpha", "0", "--output", "json",
                         "--graph", "DqK")

@@ -6,7 +6,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import det_cofactor, smith_reference
+from conftest import det_cofactor, plain_smith_divisors, smith_reference
+from walkspec.criterion import AlphaParam, walk_matrix
+from walkspec.graphs import Graph
 from walkspec.linalg import (
     IntMatrix,
     SingularMatrixError,
@@ -278,6 +280,58 @@ def test_smith_divisors_modular_path():
     m = _rand_matrix(random.Random(209), 6, 6, -40, 40)
     assert det_bareiss(m) != 0
     assert smith_divisors(m) == smith_reference(m)
+
+
+def _twin_walk_matrix(rng, n, alpha):
+    # a random graph on n - 1 vertices plus a false twin of vertex 0 (same
+    # neighbors, not adjacent to it): two equal rows make W singular
+    edges = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)
+             if rng.random() < 0.5]
+    edges += [(j, n - 1) for i, j in edges if i == 0]
+    return walk_matrix(Graph(n, edges), alpha)
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/2", "2/3"])
+def test_smith_divisors_match_plain_elimination_on_singular_walks(alpha):
+    """The bounded-entry path agrees with plain integer elimination on
+    singular walk matrices, where the modulus is a proper minor."""
+    rng = random.Random(212)
+    alpha = AlphaParam.parse(alpha)
+    for n in range(8, 25):
+        w = _twin_walk_matrix(rng, n, alpha)
+        assert det_bareiss(w) == 0
+        divisors = smith_divisors(w)
+        assert divisors[-1] == 0
+        assert divisors == plain_smith_divisors(w), (n, w)
+
+
+def _low_rank(rng, rows, cols, rank, digits):
+    big = 10 ** digits
+    left = _rand_matrix(rng, rows, rank, -big, big)
+    right = _rand_matrix(rng, rank, cols, -3, 3)
+    return left @ right
+
+
+def test_smith_divisors_match_plain_elimination_on_big_entries():
+    """Rank-deficient and non-square matrices up to 12 x 20 with 30-digit
+    entries, against plain integer elimination."""
+    rng = random.Random(213)
+    for trial in range(24):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 20)
+        if trial % 2:
+            m = _rand_matrix(rng, rows, cols, -10 ** 30, 10 ** 30)
+        else:
+            m = _low_rank(rng, rows, cols, rng.randint(1, min(rows, cols)), 30)
+        divisors = smith_divisors(m)
+        _check_chain(divisors)
+        assert divisors == plain_smith_divisors(m), m
+
+
+def test_det_rejects_non_square():
+    for rows, cols in ((1, 2), (2, 1), (3, 5), (12, 20)):
+        m = IntMatrix([[1] * cols for _ in range(rows)])
+        with pytest.raises(ValueError):
+            det_bareiss(m)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_factorize_splits_the_order_16_cofactor():
     assert factorize(prod(primes)).factors == tuple((p, 1) for p in primes)
 
 
+def test_factorize_splits_a_squared_prime_past_rho_share():
+    """The square of a 20-digit prime, alone or times a 10-digit prime: rho
+    cannot split the square within its share, and ECM would have to find a
+    20-digit factor."""
+    p = 10 ** 19 + 51
+    assert factorize(p * p).factors == ((p, 2),)
+    assert factorize(p * p * (10 ** 9 + 7)).factors == ((10 ** 9 + 7, 1), (p, 2))
+
+
 def test_factorize_products_of_10_to_16_digit_primes():
     rng = random.Random(305)
     for _ in range(10):

@@ -208,6 +208,89 @@ def test_factorize_products_of_10_to_16_digit_primes():
         assert factorize(prod(primes)).factors == expect, primes
 
 
+def _tree_product(xs):
+    xs = list(xs)
+    while len(xs) > 1:
+        xs = [prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0]
+
+
+def test_sieve_primes_and_block_products():
+    """The trial-division tables: every prime to 10^6, and block products
+    that cover each of them exactly once, in order."""
+    primes, products = numtheory._sieve()
+    assert numtheory._sieve_primes() is primes
+    assert primes == [p for p in range(SIEVE_LIMIT + 1) if SIEVE[p]]
+    assert len(primes) == 78_498 and primes[-1] == 999_983
+    assert _tree_product(products) == _tree_product(primes)
+    block = numtheory._BLOCK
+    assert len(products) == -(-len(primes) // block)
+    for i, b in enumerate(products):
+        assert b == prod(primes[i * block:(i + 1) * block]), i
+
+
+def _prime_between(rng, lo, hi):
+    while True:
+        p = rng.randrange(lo + 1, hi)
+        if is_probable_prime(p):
+            return p
+
+
+def test_factorize_exhaustive_small_inputs_without_effort():
+    """Every x <= 200,000 factors by trial division alone: at effort 0 any
+    rho call would raise, so the outcome is the same at every effort."""
+    for x in range(1, 200_001):
+        assert factorize(x, effort=0).factors == _factor_naive(x), x
+
+
+def test_block_trial_division_matches_per_prime_reference(monkeypatch):
+    """Block-gcd trial division against the per-prime loop of
+    reference_factorize: the same factors or the same budget error at each
+    effort within rho's share, and rho is handed the same cofactors."""
+    rng = random.Random(306)
+    primes = numtheory._sieve_primes()
+    block = numtheory._BLOCK
+    big = [_prime_between(rng, 10 ** 12, 10 ** 14) for _ in range(4)]
+    semiprimes = [_prime_between(rng, 10 ** 6, 10 ** 8) * _prime_between(rng, 10 ** 6, 10 ** 8)
+                  for _ in range(4)]
+    cases = []
+    # powers of a block's first and last primes, alone, times a prime past
+    # the sieve's reach, or times a composite only rho can split
+    for start in rng.sample(range(0, len(primes), block), 24):
+        first, last = primes[start], primes[min(start + block, len(primes)) - 1]
+        small = first ** rng.randint(0, 3) * last ** rng.randint(1, 3)
+        cases += [small, small * rng.choice(big), small * rng.choice(semiprimes)]
+    # the largest sieve primes, their squares and cubes
+    for p in primes[-20:]:
+        cases += [p, p * p, p ** 3]
+    # two primes in (10^3, 10^6), alone and times a prime above 10^12
+    for _ in range(30):
+        pq = _prime_between(rng, 10 ** 3, 10 ** 6) * _prime_between(rng, 10 ** 3, 10 ** 6)
+        cases += [pq, pq * rng.choice(big)]
+
+    seen = {"new": [], "reference": []}
+
+    def recording(rho, path):
+        def wrapper(m, budget):
+            seen[path].append(m)
+            return rho(m, budget)
+        return wrapper
+
+    monkeypatch.setattr(numtheory, "_brent_rho", recording(numtheory._brent_rho, "new"))
+    reference_globals = reference_factorize.__globals__
+    monkeypatch.setitem(reference_globals, "_reference_brent_rho",
+                        recording(reference_globals["_reference_brent_rho"], "reference"))
+    outcomes = set()
+    for x in cases:
+        for effort in (0, 10_000, RHO_SHARE):
+            expect = _outcome(reference_factorize, x, effort)
+            assert _outcome(factorize, x, effort) == expect, (x, effort)
+            assert seen["new"] == seen["reference"], (x, effort)
+            outcomes.add(isinstance(expect, str))
+    assert outcomes == {False, True}  # both paths were exercised
+    assert set(semiprimes) <= set(seen["new"])  # rho ran on the cofactors
+
+
 # ---------------------------------------------------------------------------
 # square-free part and odd prime divisors
 # ---------------------------------------------------------------------------

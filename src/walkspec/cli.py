@@ -8,9 +8,9 @@ pools, so they have no --format, and `mates` has no --effort either. A
 WALKSPEC_* default applies only to the commands that have its flag.
 
 Exit codes: 0 certified (or clean report), 1 arithmetic/singular failure or
-verification counterexample, 2 excluded/small/undecided, 64 usage, I/O, or
-parse errors. All JSON output carries "schema": 1 and renders big integers
-as decimal strings.
+verification counterexample, 2 excluded/small/undecided, 64 usage, I/O or
+parse errors, or a pool the mate search rejects. All JSON output carries
+"schema": 1 and renders big integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .criterion import (AlphaParam, Verdict, criterion_check, report_to_json,
 from .graphs import (ENUMERATION_CAP, Graph, GraphParseError, encode_graph6,
                      enumerate_graphs, parse_edge_list, parse_graph6)
 from .linalg import smith_divisors
-from .oracle import find_mate_classes, verification_to_json, verify_theorem
+from .oracle import (PoolError, find_mate_classes, verification_to_json,
+                     verify_theorem)
 
 EXIT_CERTIFIED = 0
 EXIT_FAILED = 1
@@ -364,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphParseError, OSError) as exc:
+    except (GraphParseError, PoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -246,11 +246,8 @@ def criterion_check(g: Graph, alpha: AlphaParam, *,
         try:
             fact = numtheory.factorize(abs(int(reduced)), effort=effort)
             factors = fact.factors
-            square_free, witness = True, None
-            for p, e in factors:
-                if e >= 2:
-                    square_free, witness = False, p
-                    break
+            witness = fact.square_witness
+            square_free = witness is None
         except numtheory.FactorizationBudgetError:
             complete = False
     ranks = tuple((p, rank_mod_p(w, p)) for p in numtheory.odd_prime_divisors(c))

@@ -8,7 +8,9 @@ point.
 The determinant and the Smith divisors share one fraction-free row echelon
 pass. Its rank r and last pivot, a nonzero r x r minor, give the determinant
 and the modulus that bounds every entry of the Smith elimination, for any
-shape and rank.
+shape and rank. That elimination uses row operations only, on the matrix or
+on its transpose, and stops at a diagonal; a gcd/lcm sweep then sorts the
+diagonal into the divisor chain.
 """
 
 from __future__ import annotations
@@ -273,100 +275,53 @@ def _xgcd(u: int, v: int) -> tuple[int, int, int]:
     return r0, x0, y0
 
 
-def _eliminate(a: list[list[int]], rows: int, cols: int, mod: int) -> None:
-    """Diagonalize `a`, entries in [0, mod), in place by unimodular row and
-    column operations, reducing every updated entry into [0, mod) again.
+def _diagonal(a: list[list[int]], mod: int) -> list[int]:
+    """Pivots of a diagonal form of `a`, entries in [0, mod), reached by
+    unimodular row operations mod `mod` on `a` or on its transpose.
 
-    Each non-divisible clear is a single 2x2 Bezout block (det 1), so the
-    pivot strictly shrinks instead of walking a remainder chain through the
-    whole row. The caller owns mapping the residue diagonal back to true
-    divisors.
+    The smallest nonzero residue moves to the top row, and row operations
+    clear its column; a non-divisible entry takes one 2x2 Bezout block (det
+    1), so the pivot strictly shrinks to a gcd. When the pivot divides its
+    whole row, column operations would change only that row, so it is
+    recorded and its row and column dropped. Otherwise the block is
+    transposed and the clear repeats. Pivots of an all-zero trailing block
+    are missing from the result.
     """
-
-    def row_sub(i: int, q: int, j: int) -> None:
-        # row i -= q * row j
-        a[i] = [(x - q * y) % mod for x, y in zip(a[i], a[j])]
-
-    def col_sub(j: int, q: int, i: int) -> None:
-        # col j -= q * col i
-        for row in a:
-            row[j] = (row[j] - q * row[i]) % mod
-
-    def bezout_row(t: int, i: int, p: int, b: int) -> int:
-        # rows (t, i) <- [[x, y], [-b/g, p/g]] @ rows
-        g, x, y = _xgcd(p, b)
-        pg, bg = p // g, b // g
-        rt, ri = a[t], a[i]
-        a[t] = [(x * u + y * v) % mod for u, v in zip(rt, ri)]
-        a[i] = [(pg * v - bg * u) % mod for u, v in zip(rt, ri)]
-        return g
-
-    def bezout_col(t: int, j: int, p: int, b: int) -> int:
-        # cols (t, j) <- cols @ [[x, -b/g], [y, p/g]]
-        g, x, y = _xgcd(p, b)
-        pg, bg = p // g, b // g
-        for row in a:
-            u, v = row[t], row[j]
-            row[t] = (x * u + y * v) % mod
-            row[j] = (pg * v - bg * u) % mod
-        return g
-
-    size = min(rows, cols)
-    for t in range(size):
-        # move the smallest nonzero of the trailing block to (t, t)
-        best = None
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                x = row[j]
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-                    if x == 1:
-                        break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
+    out = []
+    while a and a[0]:
+        p, i = min((min(filter(None, row), default=mod), i)
+                   for i, row in enumerate(a))
+        if p == mod:
             break
-        _, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
+        a[0], a[i] = a[i], a[0]
+        j = a[0].index(p)
         while True:
-            while True:
-                p = a[t][t]
-                for i in range(t + 1, rows):
-                    b = a[i][t]
-                    if b:
-                        q, r = divmod(b, p)
-                        if r:
-                            p = bezout_row(t, i, p, b)
-                        elif q:
-                            row_sub(i, q, t)
-                p = a[t][t]
-                dirty = False
-                for j in range(t + 1, cols):
-                    b = a[t][j]
-                    if b:
-                        q, r = divmod(b, p)
-                        if r:
-                            # recombining full columns re-dirties column t
-                            p = bezout_col(t, j, p, b)
-                            dirty = True
-                        elif q:
-                            col_sub(j, q, t)
-                if not dirty:
-                    break
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                if any(x % p for x in a[i][t + 1:cols]):
-                    offender = i
-                    break
-            if offender is None:
+            top = a[0]
+            for i in range(1, len(a)):
+                row = a[i]
+                b = row[j]
+                if b:
+                    q, r = divmod(b, p)
+                    if r:
+                        # rows (0, i) <- [[x, y], [-b/g, p/g]] @ rows
+                        g, x, y = _xgcd(p, b)
+                        pg, bg = p // g, b // g
+                        a[i] = [(pg * v - bg * u) % mod for u, v in zip(top, row)]
+                        top = [(x * u + y * v) % mod for u, v in zip(top, row)]
+                        p = g
+                    else:
+                        a[i] = [(v - q * u) % mod for u, v in zip(top, row)]
+            a[0] = top
+            if not any(x % p for x in top):
                 break
-            row_sub(t, -1, offender)  # row t += offending row, then re-clear
+            a = [list(col) for col in zip(*a)]
+            a[0], a[j] = a[j], a[0]
+            j = 0
+        out.append(p)
+        del a[0]
+        for row in a:
+            del row[j]
+    return out
 
 
 def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
@@ -377,10 +332,12 @@ def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
     echelon gives the rank r and a nonzero r x r minor; with d = |minor|,
     every nonzero invariant factor divides d, since s_1 ... s_r is the gcd
     of all r x r minors. So every entry may be reduced mod d after each
-    elementary operation, where plain elimination can grow them
-    exponentially. The residue diagonal fixes the group of m over Z/d, so
-    gcd(diagonal, d), sorted into a chain, is s_1, ..., s_r followed by d
-    once per zero factor; those become 0 again.
+    row operation, where plain elimination can grow them exponentially.
+    Row operations on m and on its transpose reach a diagonal mod d, which
+    need not be a divisor chain; any diagonal form fixes the group of m
+    over Z/d, so gcd(diagonal, d), padded with d for the pivots not found
+    and sorted into a chain by the gcd/lcm sweep, is s_1, ..., s_r followed
+    by d once per zero factor; those become 0 again.
     """
     rows, cols = m.rows, m.cols
     size = min(rows, cols)
@@ -388,9 +345,8 @@ def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
     d = abs(minor)
     if d == 1:
         return (1,) * r + (0,) * (size - r)
-    a = [[x % d for x in row] for row in m._data]
-    _eliminate(a, rows, cols, d)
-    out = [gcd(a[i][i], d) for i in range(size)]
+    out = [gcd(x, d) for x in _diagonal([[x % d for x in row] for row in m._data], d)]
+    out += [d] * (size - len(out))
     # the residue diagonal determines the group, but only prime by prime;
     # pairwise gcd/lcm sweeps sort the exponents into a chain
     changed = True

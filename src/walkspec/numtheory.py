@@ -67,6 +67,12 @@ class Factorization:
             out *= p**e
         return out
 
+    @property
+    def square_witness(self) -> int | None:
+        """The smallest prime dividing value twice, or None when value is
+        square-free."""
+        return next((p for p, e in self.factors if e >= 2), None)
+
 
 # primes per block product; 64, 128 and 256 measured within noise
 _BLOCK = 128
@@ -405,11 +411,8 @@ def is_square_free(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> tuple[bool
     """(True, None) when no prime divides x twice; else (False, smallest such prime).
 
     1 is square-free."""
-    f = factorize(x, effort=effort)
-    for p, e in f.factors:
-        if e >= 2:
-            return False, p
-    return True, None
+    witness = factorize(x, effort=effort).square_witness
+    return witness is None, witness
 
 
 def odd_prime_divisors(c: int) -> list[int]:

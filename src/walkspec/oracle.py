@@ -29,6 +29,11 @@ class CertificateError(RuntimeError):
     """A built certificate failed its own exactness checks."""
 
 
+class PoolError(ValueError):
+    """A pool the mate search cannot take: mixed orders, or more vertices
+    than canonical forms support."""
+
+
 @dataclass(frozen=True)
 class MateClass:
     """All pairwise non-isomorphic graphs sharing one spectrum key."""
@@ -69,9 +74,9 @@ def _keyed_pool(graphs: Iterable[Graph], alpha: AlphaParam) -> _Keyed:
         return []
     n = pool[0].n
     if any(g.n != n for g in pool):
-        raise ValueError("all graphs must have the same order")
+        raise PoolError("all graphs must have the same order")
     if n > CANONICAL_CAP:
-        raise ValueError(f"mate search supports at most {CANONICAL_CAP} vertices")
+        raise PoolError(f"mate search supports at most {CANONICAL_CAP} vertices")
     keys = [spectrum_key(g, alpha) for g in pool]
     shared = Counter(keys)
     return [(g, key, canonical_form(g) if shared[key] > 1 else None)

@@ -1,10 +1,11 @@
 import pathlib
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
+from walkspec.linalg import _echelon
 from walkspec.numtheory import (
     DEFAULT_FACTOR_EFFORT,
     TRIAL_LIMIT,
@@ -182,6 +183,146 @@ def plain_smith_divisors(m):
     a = m.to_lists()
     _reference_eliminate(a, m.rows, m.cols)
     return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+
+
+# The modular Smith elimination, by row and column operations that also make
+# each pivot divide the trailing block, that ran before the row-only
+# diagonal replaced it, kept verbatim (names aside) as the reference the
+# new kernel's divisors must match.
+
+
+def _reference_modular_eliminate(a: list[list[int]], rows: int, cols: int, mod: int) -> None:
+    """Diagonalize `a`, entries in [0, mod), in place by unimodular row and
+    column operations, reducing every updated entry into [0, mod) again.
+
+    Each non-divisible clear is a single 2x2 Bezout block (det 1), so the
+    pivot strictly shrinks instead of walking a remainder chain through the
+    whole row. The caller owns mapping the residue diagonal back to true
+    divisors.
+    """
+
+    def row_sub(i: int, q: int, j: int) -> None:
+        # row i -= q * row j
+        a[i] = [(x - q * y) % mod for x, y in zip(a[i], a[j])]
+
+    def col_sub(j: int, q: int, i: int) -> None:
+        # col j -= q * col i
+        for row in a:
+            row[j] = (row[j] - q * row[i]) % mod
+
+    def bezout_row(t: int, i: int, p: int, b: int) -> int:
+        # rows (t, i) <- [[x, y], [-b/g, p/g]] @ rows
+        g, x, y = _xgcd(p, b)
+        pg, bg = p // g, b // g
+        rt, ri = a[t], a[i]
+        a[t] = [(x * u + y * v) % mod for u, v in zip(rt, ri)]
+        a[i] = [(pg * v - bg * u) % mod for u, v in zip(rt, ri)]
+        return g
+
+    def bezout_col(t: int, j: int, p: int, b: int) -> int:
+        # cols (t, j) <- cols @ [[x, -b/g], [y, p/g]]
+        g, x, y = _xgcd(p, b)
+        pg, bg = p // g, b // g
+        for row in a:
+            u, v = row[t], row[j]
+            row[t] = (x * u + y * v) % mod
+            row[j] = (pg * v - bg * u) % mod
+        return g
+
+    size = min(rows, cols)
+    for t in range(size):
+        # move the smallest nonzero of the trailing block to (t, t)
+        best = None
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+                    if x == 1:
+                        break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+        while True:
+            while True:
+                p = a[t][t]
+                for i in range(t + 1, rows):
+                    b = a[i][t]
+                    if b:
+                        q, r = divmod(b, p)
+                        if r:
+                            p = bezout_row(t, i, p, b)
+                        elif q:
+                            row_sub(i, q, t)
+                p = a[t][t]
+                dirty = False
+                for j in range(t + 1, cols):
+                    b = a[t][j]
+                    if b:
+                        q, r = divmod(b, p)
+                        if r:
+                            # recombining full columns re-dirties column t
+                            p = bezout_col(t, j, p, b)
+                            dirty = True
+                        elif q:
+                            col_sub(j, q, t)
+                if not dirty:
+                    break
+            p = a[t][t]
+            offender = None
+            for i in range(t + 1, rows):
+                if any(x % p for x in a[i][t + 1:cols]):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            row_sub(t, -1, offender)  # row t += offending row, then re-clear
+
+
+def modular_smith_divisors(m) -> tuple[int, ...]:
+    """Invariant factors of m: nonnegative, each dividing the next, one per
+    min(rows, cols), zeros trailing.
+
+    One bounded-entry path for every shape and rank. The fraction-free
+    echelon gives the rank r and a nonzero r x r minor; with d = |minor|,
+    every nonzero invariant factor divides d, since s_1 ... s_r is the gcd
+    of all r x r minors. So every entry may be reduced mod d after each
+    elementary operation, where plain elimination can grow them
+    exponentially. The residue diagonal fixes the group of m over Z/d, so
+    gcd(diagonal, d), sorted into a chain, is s_1, ..., s_r followed by d
+    once per zero factor; those become 0 again.
+    """
+    rows, cols = m.rows, m.cols
+    size = min(rows, cols)
+    r, minor = _echelon(m)
+    d = abs(minor)
+    if d == 1:
+        return (1,) * r + (0,) * (size - r)
+    a = [[x % d for x in row] for row in m._data]
+    _reference_modular_eliminate(a, rows, cols, d)
+    out = [gcd(a[i][i], d) for i in range(size)]
+    # the residue diagonal determines the group, but only prime by prime;
+    # pairwise gcd/lcm sweeps sort the exponents into a chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(size - 1):
+            x, y = out[i], out[i + 1]
+            if y % x:
+                g = gcd(x, y)
+                out[i], out[i + 1] = g, x * y // g
+                changed = True
+    if d % prod(out[:r]) or any(x != d for x in out[r:]):
+        raise AssertionError("modular elimination lost a divisor")
+    return tuple(out[:r]) + (0,) * (size - r)
 
 
 # The trial-division + Brent rho factorization that ran before ECM was added,

@@ -155,6 +155,21 @@ def test_snf_singular_order_40_output_bytes_are_pinned(capsys):
         "93e70d050a1612a8e4d93e04c7d5ea292759594ccc33915f7ad9fa123bb64eed")
 
 
+# sha256 of stdout, recorded from the row-and-column modular elimination
+# before the row-only diagonal replaced it
+@pytest.mark.parametrize("fixture, alpha, sha256", [
+    ("dgas14", "3/4", "96cb447177dde8bc14beaafeac5bc1ad8a5b6fbde14a8c083519da98ea954c97"),
+    ("dgas14", "5/6", "40098f6c39e0e6a0ca094ec11ae4c7258d17585a7bf44d329dd53dc0d66b6663"),
+    ("dgas13", "2/3", "8e8d37aa7ec91352dea9861f9117279c8a1b5e2e66d5b7cd3364160fd998c2b0"),
+    ("dgas13", "10/11", "3b2fbe93462b970c1798f8901f2e4c16e232e7efd0ad94108c76d2ce06427e0b"),
+])
+def test_snf_fixture_output_bytes_are_pinned(capsys, fixture, alpha, sha256):
+    code, out, _ = _run(capsys, "snf", "--alpha", alpha, "--output", "json",
+                        str(FIXTURES / f"{fixture}.g6"))
+    assert code == EXIT_CERTIFIED
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_spectrum_self_complementary(capsys):
     code, out, _ = _run(capsys, "spectrum", "--alpha", "0", "--output", "json",
                         "--graph", "DqK")
@@ -325,6 +340,21 @@ def test_usage_errors(capsys, tmp_path):
                               "--connected-only", str(path))
         assert code == EXIT_USAGE, command
         assert out == "" and err.startswith("error:"), command
+
+
+@pytest.mark.parametrize("command", ["mates", "verify-theorem"])
+@pytest.mark.parametrize("pool, message", [
+    (G13 + "\n", "at most 10 vertices"),   # order 13, past canonical forms
+    ("E@Uw\nF????\n", "same order"),       # orders 6 and 7
+], ids=["too-large", "mixed-orders"])
+def test_rejected_pool_is_a_usage_error(capsys, tmp_path, command, pool, message):
+    path = tmp_path / "pool.g6"
+    path.write_text(pool)
+    code, out, err = _run(capsys, command, "--alpha", "0", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_non_ascii_inline_graph_is_a_parse_error(capsys):

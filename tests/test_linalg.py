@@ -6,7 +6,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import det_cofactor, plain_smith_divisors, smith_reference
+from conftest import (det_cofactor, modular_smith_divisors, plain_smith_divisors,
+                      smith_reference)
 from walkspec.criterion import AlphaParam, walk_matrix
 from walkspec.graphs import Graph
 from walkspec.linalg import (
@@ -325,6 +326,44 @@ def test_smith_divisors_match_plain_elimination_on_big_entries():
         divisors = smith_divisors(m)
         _check_chain(divisors)
         assert divisors == plain_smith_divisors(m), m
+
+
+def test_smith_divisors_match_modular_reference_on_walks():
+    """The row-only diagonal agrees with the row-and-column modular
+    elimination it replaced, on seeded walk matrices of orders 8..32."""
+    rng = random.Random(214)
+    nonsingular = 0
+    for n in range(8, 33, 4):
+        for alpha in ("0", "1/2", "2/3", "3/4"):
+            for _ in range(2):
+                g = Graph(n, [(u, v) for v in range(n) for u in range(v)
+                              if rng.random() < 0.5])
+                w = walk_matrix(g, AlphaParam.parse(alpha))
+                divisors = smith_divisors(w)
+                assert divisors == modular_smith_divisors(w), (n, alpha, g.edges)
+                nonsingular += divisors[-1] != 0
+    # both singular and nonsingular walk matrices were compared
+    assert 0 < nonsingular < 56
+
+
+def test_smith_divisors_match_modular_reference_on_shapes():
+    """Random shapes from 1 x 1 to 7 x 7, rows and columns included, at full
+    and deficient rank, against the replaced modular elimination."""
+    rng = random.Random(215)
+    shapes = [(1, k) for k in range(1, 8)] + [(k, 1) for k in range(1, 8)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(400)]
+    for trial, (rows, cols) in enumerate(shapes):
+        if trial % 3 == 0:
+            m = _low_rank(rng, rows, cols, rng.randint(1, min(rows, cols)), 2)
+        elif trial % 3 == 1:
+            # shared small factors make the pivots' gcds and chain nontrivial
+            m = IntMatrix([[rng.choice((0, 0, 2, 4, 6, 8, 12, -18))
+                            for _ in range(cols)] for _ in range(rows)])
+        else:
+            m = _rand_matrix(rng, rows, cols, -10 ** 6, 10 ** 6)
+        divisors = smith_divisors(m)
+        _check_chain(divisors)
+        assert divisors == modular_smith_divisors(m), m
 
 
 def test_det_rejects_non_square():

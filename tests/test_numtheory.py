@@ -308,6 +308,9 @@ def test_is_square_free_known():
     assert is_square_free(294) == (False, 7)
     p = 10 ** 9 + 7
     assert is_square_free(p * p) == (False, p)
+    # the smallest of the primes that appear squared
+    assert factorize(3 ** 2 * 5 * 7 ** 3 * p ** 2).square_witness == 3
+    assert factorize(2 * 3 * 5).square_witness is None
 
 
 def test_is_square_free_matches_naive_factorization():

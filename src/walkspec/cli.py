@@ -9,8 +9,8 @@ WALKSPEC_* default applies only to the commands that have its flag.
 
 Exit codes: 0 certified (or clean report), 1 arithmetic/singular failure or
 verification counterexample, 2 excluded/small/undecided, 64 usage, I/O or
-parse errors, or a pool the mate search rejects. All JSON output carries
-"schema": 1 and renders big integers as decimal strings.
+parse errors, a rejected pool or an unfactorable alpha denominator. All
+JSON output carries "schema": 1 and renders big integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -142,6 +142,12 @@ def _config(ns: argparse.Namespace) -> None:
         ns.alpha = AlphaParam.parse(ns.alpha)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --alpha {ns.alpha!r}: {exc}") from None
+    if ns.command in ("check", "batch", "verify-theorem"):
+        try:  # the criterion needs the odd primes of alpha's denominator
+            numtheory.odd_prime_divisors(ns.alpha.c_alpha)
+        except numtheory.FactorizationBudgetError:
+            raise UsageError(f"bad --alpha {ns.alpha}: cannot factor its "
+                             "denominator") from None
     for dest, (name, choices) in _CHOICES.items():
         value = getattr(ns, dest, choices[0])
         if value not in choices:

@@ -250,7 +250,8 @@ def criterion_check(g: Graph, alpha: AlphaParam, *,
             square_free = witness is None
         except numtheory.FactorizationBudgetError:
             complete = False
-    ranks = tuple((p, rank_mod_p(w, p)) for p in numtheory.odd_prime_divisors(c))
+    ranks = tuple((p, n if det % p else rank_mod_p(w, p))  # rank < n only if p | det
+                  for p in numtheory.odd_prime_divisors(c))
 
     if n < 5:
         verdict = Verdict.SMALL_ORDER

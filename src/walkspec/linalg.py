@@ -5,12 +5,12 @@ linear solves, integer characteristic polynomials, ranks over prime fields,
 and the invariant factors (Smith divisors) of integer matrices. No floating
 point.
 
-The determinant and the Smith divisors share one fraction-free row echelon
-pass. Its rank r and last pivot, a nonzero r x r minor, give the determinant
-and the modulus that bounds every entry of the Smith elimination, for any
-shape and rank. That elimination uses row operations only, on the matrix or
-on its transpose, and stops at a diagonal; a gcd/lcm sweep then sorts the
-diagonal into the divisor chain.
+Two elimination kernels do all of it. Bareiss's fraction-free row echelon
+gives the determinant, the solve (on [a | b], then back substitution), and
+the rank and nonzero minor whose modulus bounds the Smith elimination. A
+row-only diagonalization of residues gives the Smith divisors modulo that
+minor, sorted into a chain by a gcd/lcm sweep, and, modulo a prime, the
+rank as its pivot count.
 """
 
 from __future__ import annotations
@@ -114,20 +114,21 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# determinant and characteristic polynomial
+# determinant, solve and characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
-def _echelon(m: IntMatrix) -> tuple[int, int]:
-    """(rank r, last pivot) of m by Bareiss's fraction-free row echelon.
+def _echelon(a: list[list[int]]) -> tuple[int, int]:
+    """(rank r, last pivot) of the rows `a`, reduced in place to Bareiss's
+    fraction-free row echelon.
 
     A column with no pivot in the remaining rows is skipped; every interior
-    division is still exact, because each entry stays a minor of m. The last
+    division is still exact, because each entry stays a minor of the input.
+    Pivot columns increase strictly, with zeros left of each pivot. The last
     pivot is the nonzero r x r minor on the pivot rows and columns (1 when
-    r = 0), signed as the determinant when m is square and nonsingular.
+    r = 0), signed as the determinant when a is square and nonsingular.
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_lists()
+    rows, cols = len(a), len(a[0]) if a else 0
     sign = 1
     prev = 1
     r = 0
@@ -160,42 +161,35 @@ def det_bareiss(m: IntMatrix) -> int:
     full rank, else 0."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    r, minor = _echelon(m)
+    r, minor = _echelon(m.to_lists())
     return minor if r == m.rows else 0
 
 
 def solve_fraction_free(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
     """(det a, X) with a @ X == det(a) * b, so X = adj(a) @ b.
 
-    Gauss-Jordan form of Bareiss's elimination on the augmented rows [a | b]:
-    step k clears column k above and below the pivot, and every interior
-    division by the previous pivot is exact. Raises SingularMatrixError when
-    det a = 0.
+    The fraction-free echelon of the rows [a | b] has strictly increasing
+    pivot columns, so a is singular, and SingularMatrixError is raised,
+    exactly when its entry at row n-1, column n-1 is 0. Otherwise back
+    substitution solves U X = det(a) * b' for the echelon's U and b'; every
+    division is exact, because X is integral.
     """
     if not a.is_square or a.rows != b.rows:
         raise ValueError("solve requires a square matrix and a right side "
                          "with as many rows")
     n = a.rows
     rows = [list(ra + rb) for ra, rb in zip(a._data, b._data)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if swap is None:
-                raise SingularMatrixError("matrix is singular")
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        top = rows[k]
-        pivot = top[k]
-        for i in range(n):
-            if i != k:
-                lead = rows[i][k]
-                rows[i] = [(x * pivot - lead * y) // prev
-                           for x, y in zip(rows[i], top)]
-        prev = pivot
-    # every diagonal entry is now det of the row-swapped a, i.e. sign * det a
-    return sign * prev, IntMatrix([[sign * x for x in r[n:]] for r in rows])
+    _, det = _echelon(rows)
+    if n and rows[n - 1][n - 1] == 0:
+        raise SingularMatrixError("matrix is singular")
+    x: list[list[int]] = [[]] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        acc = [det * v for v in row[n:]]
+        for u, done in zip(row[i + 1:n], x[i + 1:]):
+            acc = [s - u * t for s, t in zip(acc, done)]
+        x[i] = [s // row[i] for s in acc]
+    return det, IntMatrix(x)
 
 
 def charpoly(m: IntMatrix) -> tuple[int, ...]:
@@ -227,36 +221,7 @@ def charpoly(m: IntMatrix) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# modular rank
-# ---------------------------------------------------------------------------
-
-
-def rank_mod_p(m: IntMatrix, p: int) -> int:
-    """Rank over the field of p elements; p must (probably) be prime."""
-    if p < 2 or not numtheory.is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    a = [[x % p for x in row] for row in m._data]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    for j in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][j]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][j], -1, p)
-        a[rank] = [x * inv % p for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][j]:
-                f = a[i][j]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-# ---------------------------------------------------------------------------
-# Smith divisors
+# residue diagonal: Smith divisors and rank mod p
 # ---------------------------------------------------------------------------
 
 
@@ -324,6 +289,14 @@ def _diagonal(a: list[list[int]], mod: int) -> list[int]:
     return out
 
 
+def rank_mod_p(m: IntMatrix, p: int) -> int:
+    """Rank over the field of p elements, p (probably) prime: the pivot
+    count of the residue diagonal mod p."""
+    if p < 2 or not numtheory.is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return len(_diagonal([[x % p for x in row] for row in m._data], p))
+
+
 def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors of m: nonnegative, each dividing the next, one per
     min(rows, cols), zeros trailing.
@@ -339,9 +312,8 @@ def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
     and sorted into a chain by the gcd/lcm sweep, is s_1, ..., s_r followed
     by d once per zero factor; those become 0 again.
     """
-    rows, cols = m.rows, m.cols
-    size = min(rows, cols)
-    r, minor = _echelon(m)
+    size = min(m.rows, m.cols)
+    r, minor = _echelon(m.to_lists())
     d = abs(minor)
     if d == 1:
         return (1,) * r + (0,) * (size - r)

@@ -5,7 +5,8 @@ from math import gcd, prod
 
 import pytest
 
-from walkspec.linalg import _echelon
+from walkspec.linalg import IntMatrix, SingularMatrixError, _echelon
+from walkspec import numtheory
 from walkspec.numtheory import (
     DEFAULT_FACTOR_EFFORT,
     TRIAL_LIMIT,
@@ -302,7 +303,7 @@ def modular_smith_divisors(m) -> tuple[int, ...]:
     """
     rows, cols = m.rows, m.cols
     size = min(rows, cols)
-    r, minor = _echelon(m)
+    r, minor = _echelon(m.to_lists())
     d = abs(minor)
     if d == 1:
         return (1,) * r + (0,) * (size - r)
@@ -323,6 +324,69 @@ def modular_smith_divisors(m) -> tuple[int, ...]:
     if d % prod(out[:r]) or any(x != d for x in out[r:]):
         raise AssertionError("modular elimination lost a divisor")
     return tuple(out[:r]) + (0,) * (size - r)
+
+
+# The Gauss-Jordan fraction-free solve and the Gauss-Jordan rank over F_p
+# that ran before both went through the two remaining elimination kernels,
+# kept verbatim (names aside) as the references those kernels must match.
+
+
+def reference_solve_fraction_free(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det a, X) with a @ X == det(a) * b, so X = adj(a) @ b.
+
+    Gauss-Jordan form of Bareiss's elimination on the augmented rows [a | b]:
+    step k clears column k above and below the pivot, and every interior
+    division by the previous pivot is exact. Raises SingularMatrixError when
+    det a = 0.
+    """
+    if not a.is_square or a.rows != b.rows:
+        raise ValueError("solve requires a square matrix and a right side "
+                         "with as many rows")
+    n = a.rows
+    rows = [list(ra + rb) for ra, rb in zip(a._data, b._data)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                raise SingularMatrixError("matrix is singular")
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for i in range(n):
+            if i != k:
+                lead = rows[i][k]
+                rows[i] = [(x * pivot - lead * y) // prev
+                           for x, y in zip(rows[i], top)]
+        prev = pivot
+    # every diagonal entry is now det of the row-swapped a, i.e. sign * det a
+    return sign * prev, IntMatrix([[sign * x for x in r[n:]] for r in rows])
+
+
+def reference_rank_mod_p(m: IntMatrix, p: int) -> int:
+    """Rank over the field of p elements; p must (probably) be prime."""
+    if p < 2 or not numtheory.is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    a = [[x % p for x in row] for row in m._data]
+    rows, cols = m.rows, m.cols
+    rank = 0
+    for j in range(cols):
+        pivot = next((i for i in range(rank, rows) if a[i][j]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][j], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(rows):
+            if i != rank and a[i][j]:
+                f = a[i][j]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
 
 
 # The trial-division + Brent rho factorization that ran before ECM was added,

@@ -357,6 +357,27 @@ def test_rejected_pool_is_a_usage_error(capsys, tmp_path, command, pool, message
     assert len(err.splitlines()) == 1
 
 
+# c = nextprime(10^19) * nextprime(3 * 10^19): the default effort cannot split it
+HARD_ALPHA = "1/300000000000000001940000000000000002091"
+
+
+@pytest.mark.parametrize("command", ["check", "batch"])
+def test_unfactorable_alpha_denominator_is_a_usage_error(capsys, command):
+    code, out, err = _run(capsys, command, "--alpha", HARD_ALPHA,
+                          str(FIXTURES / "dgas13.g6"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "--alpha" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_commands_that_do_not_factor_alpha_accept_any_denominator(capsys):
+    for argv in (("snf", "--graph", "DqK"), ("spectrum", "--graph", "DqK"),
+                 ("mates", "--n", "4")):
+        code, out, err = _run(capsys, *argv, "--alpha", HARD_ALPHA)
+        assert code == EXIT_CERTIFIED and out and err == "", argv
+
+
 def test_non_ascii_inline_graph_is_a_parse_error(capsys):
     code, out, err = _run(capsys, "check", "--alpha", "1/2", "--graph",
                           "Dq\u00e9")

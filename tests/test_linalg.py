@@ -7,9 +7,10 @@ from itertools import product as iproduct
 import pytest
 
 from conftest import (det_cofactor, modular_smith_divisors, plain_smith_divisors,
+                      reference_rank_mod_p, reference_solve_fraction_free,
                       smith_reference)
-from walkspec.criterion import AlphaParam, walk_matrix
-from walkspec.graphs import Graph
+from walkspec.criterion import AlphaParam, criterion_check, walk_matrix
+from walkspec.graphs import Graph, relabel
 from walkspec.linalg import (
     IntMatrix,
     SingularMatrixError,
@@ -189,6 +190,9 @@ def test_rank_mod_p_known_values():
     for bad in (1, 4, 9):
         with pytest.raises(ValueError):
             rank_mod_p(IntMatrix.identity(2), bad)
+    # no rows, and rows without columns
+    assert rank_mod_p(IntMatrix([]), 3) == 0
+    assert rank_mod_p(IntMatrix([[], []]), 3) == 0
 
 
 def test_rank_mod_p_matches_exhaustive_kernel():
@@ -440,6 +444,20 @@ def test_solve_fraction_free_known():
     assert issubclass(SingularMatrixError, ArithmeticError)
 
 
+def test_solve_fraction_free_edge_shapes():
+    # the empty system: det of the 0 x 0 matrix is 1
+    assert solve_fraction_free(IntMatrix([]), IntMatrix([])) == (1, IntMatrix([]))
+    # a right side without columns gives n x 0
+    det, x = solve_fraction_free(IntMatrix([[1, 2], [3, 4]]), IntMatrix([[], []]))
+    assert (det, x, x.rows, x.cols) == (-2, IntMatrix([[], []]), 2, 0)
+    # [a | b] has full row rank, so its echelon finds a pivot in every row,
+    # but row 1's lies in b's columns
+    with pytest.raises(SingularMatrixError):
+        solve_fraction_free(IntMatrix([[1, 2], [2, 4]]), IntMatrix([[1], [0]]))
+    with pytest.raises(SingularMatrixError):
+        solve_fraction_free(IntMatrix([[0, 0], [0, 0]]), IntMatrix.identity(2))
+
+
 def test_solve_fraction_free_random():
     rng = random.Random(211)
     done = 0
@@ -456,3 +474,94 @@ def test_solve_fraction_free_random():
         det, x = solve_fraction_free(a, b)
         assert det == want
         assert a @ x == b.scaled(det)
+
+
+# ---------------------------------------------------------------------------
+# solve and rank against the Gauss-Jordan loops they replaced
+# ---------------------------------------------------------------------------
+
+DIFF_ALPHAS = ("0", "1/2", "2/3", "3/4", "10/11")
+DIFF_PRIMES = (2, 3, 5, 11)
+
+
+def _random_graph(rng, n):
+    return Graph(n, [(u, v) for v in range(n) for u in range(v)
+                     if rng.random() < 0.5])
+
+
+def _walk_pool():
+    """Seeded walk matrices of orders 8..24 at every alpha above, plus
+    singular twin-vertex walk matrices of the same orders."""
+    rng = random.Random(216)
+    pool = []
+    for n in range(8, 25):
+        for alpha in map(AlphaParam.parse, DIFF_ALPHAS):
+            pool.append((_random_graph(rng, n), alpha))
+    twins = [(n, AlphaParam.parse(DIFF_ALPHAS[n % 5])) for n in range(8, 25)]
+    return pool, [_twin_walk_matrix(rng, n, alpha) for n, alpha in twins]
+
+
+def test_solve_and_rank_match_gauss_jordan_on_walks():
+    pool, twins = _walk_pool()
+    rng = random.Random(217)
+    divided = singular = 0
+    for w in [walk_matrix(g, alpha) for g, alpha in pool] + twins:
+        det = det_bareiss(w)
+        for p in DIFF_PRIMES:
+            assert rank_mod_p(w, p) == reference_rank_mod_p(w, p), (w, p)
+            divided += det % p == 0
+        b = _rand_matrix(rng, w.rows, rng.randint(1, 3), -10 ** 6, 10 ** 6)
+        if det == 0:
+            singular += 1
+            for solve in (solve_fraction_free, reference_solve_fraction_free):
+                with pytest.raises(SingularMatrixError):
+                    solve(w, b)
+            continue
+        assert solve_fraction_free(w, b) == reference_solve_fraction_free(w, b)
+    # singular matrices, and primes dividing a nonzero or zero det, all came up
+    assert singular >= len(twins) and divided > 4 * singular
+
+
+def test_criterion_prime_ranks_match_gauss_jordan():
+    """criterion_check reads rank n off det W when p does not divide it."""
+    pool, _ = _walk_pool()
+    divided = 0
+    for g, alpha in pool:
+        if alpha.c_alpha == 1:
+            continue
+        report = criterion_check(g, alpha, factor_effort=0)
+        assert report.prime_ranks == tuple(
+            (p, reference_rank_mod_p(report.walk, p))
+            for p in (3, 11) if alpha.c_alpha % p == 0), (g.edges, alpha)
+        divided += any(report.det_walk % p == 0 for p, _ in report.prime_ranks)
+    assert divided > 0
+
+
+def test_certificate_solves_match_gauss_jordan():
+    """W(g)^T U = W(h)^T for seeded order-8 pairs, and for relabeled pairs at
+    orders 12..24, where det W(g) times a permutation matrix is the answer."""
+    rng = random.Random(218)
+    alpha = AlphaParam.parse("1/2")
+    done = 0
+    while done < 12:
+        wg = walk_matrix(_random_graph(rng, 8), alpha).transpose()
+        wh = walk_matrix(_random_graph(rng, 8), alpha).transpose()
+        if det_bareiss(wg) == 0:
+            continue
+        done += 1
+        assert solve_fraction_free(wg, wh) == reference_solve_fraction_free(wg, wh)
+    for n in range(12, 25, 3):
+        g = _random_graph(rng, n)
+        wg = walk_matrix(g, alpha)
+        det = det_bareiss(wg)
+        if det == 0:
+            continue
+        perm = list(range(n))
+        rng.shuffle(perm)
+        wh = walk_matrix(relabel(g, perm), alpha)
+        got = solve_fraction_free(wg.transpose(), wh.transpose())
+        assert got == reference_solve_fraction_free(wg.transpose(), wh.transpose())
+        assert got == (det, IntMatrix([[det * (perm[u] == v) for v in range(n)]
+                                       for u in range(n)]))
+        done += 1
+    assert done >= 15

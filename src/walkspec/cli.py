@@ -11,6 +11,10 @@ Exit codes: 0 certified (or clean report), 1 arithmetic/singular failure or
 verification counterexample, 2 excluded/small/undecided, 64 usage, I/O or
 parse errors, a rejected pool or an unfactorable alpha denominator. All
 JSON output carries "schema": 1 and renders big integers as decimal strings.
+
+`check`, `batch` and `verify-theorem` factor alpha's denominator once per
+command, up front; every graph's criterion reads the odd primes kept on
+the parsed alpha.
 """
 
 from __future__ import annotations
@@ -48,24 +52,12 @@ class UsageError(Exception):
     pass
 
 
-class _ParserExit(Exception):
-    """argparse finished early (e.g. after printing help) with this status."""
-
-    def __init__(self, status: int):
-        super().__init__(status)
-        self.status = status
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so main owns the exit code."""
+    """argparse that raises UsageError on bad arguments, so main prints it
+    and owns the exit code."""
 
     def error(self, message: str):  # noqa: A003 - argparse API
         raise UsageError(message)
-
-    def exit(self, status: int = 0, message: str | None = None):  # noqa: A003
-        if message:
-            self._print_message(message, sys.stderr)
-        raise _ParserExit(status)
 
 
 def _env(name: str, fallback: str | None = None) -> str | None:
@@ -136,15 +128,16 @@ def _build_parser() -> _Parser:
 
 
 def _config(ns: argparse.Namespace) -> None:
-    """Parse --alpha in place; check the --format and --output defaults, and
+    """Parse --alpha in place, and factor its denominator for the commands
+    that read its odd primes; check the --format and --output defaults, and
     default and check --effort, where they exist."""
     try:
         ns.alpha = AlphaParam.parse(ns.alpha)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --alpha {ns.alpha!r}: {exc}") from None
     if ns.command in ("check", "batch", "verify-theorem"):
-        try:  # the criterion needs the odd primes of alpha's denominator
-            numtheory.odd_prime_divisors(ns.alpha.c_alpha)
+        try:
+            ns.alpha.odd_primes
         except numtheory.FactorizationBudgetError:
             raise UsageError(f"bad --alpha {ns.alpha}: cannot factor its "
                              "denominator") from None
@@ -366,12 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         ns = _build_parser().parse_args(argv)
         _config(ns)
         return _COMMANDS[ns.command](ns)
-    except _ParserExit as exc:
-        return exc.status
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphParseError, PoolError, OSError) as exc:
+    except SystemExit as exc:  # argparse printed help and exited
+        return exc.code
+    except (UsageError, GraphParseError, PoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

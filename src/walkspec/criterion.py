@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
@@ -62,6 +63,13 @@ class AlphaParam:
     @property
     def b(self) -> int:
         return self.den - self.num
+
+    @cached_property
+    def odd_primes(self) -> tuple[int, ...]:
+        """Ascending odd primes dividing the denominator, factored on first
+        use and kept. When the factorization runs out of effort, this raises
+        FactorizationBudgetError and keeps nothing."""
+        return tuple(numtheory.odd_prime_divisors(self.den))
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -223,7 +231,8 @@ class CriterionReport:
 
 
 def criterion_check(g: Graph, alpha: AlphaParam, *,
-                    factor_effort: int | None = None) -> CriterionReport:
+                    factor_effort: int = numtheory.DEFAULT_FACTOR_EFFORT
+                    ) -> CriterionReport:
     """Decide determination-by-spectrum for one graph at one alpha.
 
     Verdict precedence: small order, then singular walk matrix, then the
@@ -231,7 +240,6 @@ def criterion_check(g: Graph, alpha: AlphaParam, *,
     budget expires), then the even-order/odd-c exclusion, then certified.
     """
     w = walk_matrix(g, alpha)
-    effort = numtheory.DEFAULT_FACTOR_EFFORT if factor_effort is None else factor_effort
     n = g.n
     c = alpha.c_alpha
     det = det_bareiss(w)
@@ -244,14 +252,14 @@ def criterion_check(g: Graph, alpha: AlphaParam, *,
     complete = True
     if det != 0 and odd:
         try:
-            fact = numtheory.factorize(abs(int(reduced)), effort=effort)
+            fact = numtheory.factorize(abs(int(reduced)), effort=factor_effort)
             factors = fact.factors
             witness = fact.square_witness
             square_free = witness is None
         except numtheory.FactorizationBudgetError:
             complete = False
     ranks = tuple((p, n if det % p else rank_mod_p(w, p))  # rank < n only if p | det
-                  for p in numtheory.odd_prime_divisors(c))
+                  for p in alpha.odd_primes)
 
     if n < 5:
         verdict = Verdict.SMALL_ORDER

@@ -28,7 +28,8 @@ class SingularMatrixError(ArithmeticError):
 
 class IntMatrix:
     """Immutable dense matrix of Python ints; any other entry type, bool
-    included, is a TypeError rather than a silent conversion."""
+    included, is a TypeError rather than a silent conversion. A matrix
+    without rows is 0 x 0, so a k x 0 matrix (k > 0) has no transpose."""
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -78,6 +79,9 @@ class IntMatrix:
         return [list(r) for r in self._data]
 
     def transpose(self) -> IntMatrix:
+        if self.rows and not self.cols:
+            raise ValueError(f"the transpose of a {self.rows} x 0 matrix is "
+                             f"0 x {self.rows}, which IntMatrix cannot hold")
         return IntMatrix([[self._data[i][j] for i in range(self.rows)]
                           for j in range(self.cols)])
 
@@ -86,8 +90,8 @@ class IntMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        bt = other.transpose()._data
-        return IntMatrix([[sum(map(mul, r, c)) for c in bt] for r in self._data])
+        cols = list(zip(*other._data))
+        return IntMatrix([[sum(map(mul, r, c)) for c in cols] for r in self._data])
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -315,8 +319,6 @@ def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
     size = min(m.rows, m.cols)
     r, minor = _echelon(m.to_lists())
     d = abs(minor)
-    if d == 1:
-        return (1,) * r + (0,) * (size - r)
     out = [gcd(x, d) for x in _diagonal([[x % d for x in row] for row in m._data], d)]
     out += [d] * (size - len(out))
     # the residue diagonal determines the group, but only prime by prime;

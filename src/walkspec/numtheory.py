@@ -358,8 +358,6 @@ def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
     instead of by ECM."""
     if x < 1:
         raise ValueError("factorization is defined for positive integers")
-    if x == 1:
-        return Factorization(1, ())
     primes, products = _sieve()
     counts: dict[int, int] = {}
     rem = x

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from . import numtheory
 from .criterion import (AlphaParam, CriterionReport, SpectrumKey, Verdict,
                         alpha_matrix, criterion_check, spectrum_key,
                         walk_matrix)
@@ -195,14 +196,9 @@ class VerificationReport:
         return not self.counterexamples
 
 
-def _odd_part_is_one(x: int) -> bool:
-    while x % 2 == 0:
-        x //= 2
-    return x == 1
-
-
 def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
-                   factor_effort: int | None = None) -> VerificationReport:
+                   factor_effort: int = numtheory.DEFAULT_FACTOR_EFFORT
+                   ) -> VerificationReport:
     """Check every certified graph sits alone in its mate class and every
     built certificate obeys the expected level arithmetic."""
     pool = list(graphs)
@@ -251,7 +247,8 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
                     src_ok = reports[i].arithmetic_ok
                     no_odd: bool | None = None
                     if src_ok:
-                        no_odd = _odd_part_is_one(cert.level)
+                        # level >= 1 has no odd prime factor iff it is a power of two
+                        no_odd = cert.level & (cert.level - 1) == 0
                         if not no_odd:
                             counterexamples.append(
                                 f"odd prime divides level {cert.level} of pair "

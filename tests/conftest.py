@@ -19,6 +19,9 @@ from walkspec.numtheory import (
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
+# c = nextprime(10^19) * nextprime(3 * 10^19): the default effort cannot split it
+HARD_ALPHA = "1/300000000000000001940000000000000002091"
+
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> pathlib.Path:

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, read_fixture
+from conftest import FIXTURES, HARD_ALPHA, read_fixture
+from walkspec import numtheory
 from walkspec.cli import EXIT_CERTIFIED, EXIT_FAILED, EXIT_LIMITED, EXIT_USAGE, main
 
 G13 = read_fixture("dgas13.g6").strip()
@@ -254,6 +255,29 @@ def test_batch_output_bytes_are_pinned(capsys, tmp_path):
         "125eba0f18dbd238e9f4f3de92a4a63c15017bdc0dde5c4e84e199519dbb802e")
 
 
+def test_batch_factors_alpha_denominator_once(capsys, monkeypatch, tmp_path):
+    # c = 100000000003 * 200000000041 takes rho about 0.1 s to split
+    c = 20000000004700000000123
+    calls = []
+    factorize = numtheory.factorize
+
+    def counted(x, **kwargs):
+        calls.append(x)
+        return factorize(x, **kwargs)
+
+    monkeypatch.setattr(numtheory, "factorize", counted)
+    path = tmp_path / "big_c.g6"
+    path.write_text((G13 + "\n") * 20)
+    code, out, err = _run(capsys, "batch", "--alpha", f"1/{c}", str(path))
+    assert (code, err) == (EXIT_CERTIFIED, "")
+    assert calls.count(c) == 1
+    assert out.endswith('"total":20,"errors":0,'
+                        '"verdicts":{"FAILS_ARITHMETIC":20}}\n')
+    # sha256 of stdout, recorded when c was factored once per line
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3f232e37286db1fd163c6dc3216ff451d0f69b75c694b39805ca79d0cab28780")
+
+
 # ---------------------------------------------------------------------------
 # environment defaults and usage errors
 # ---------------------------------------------------------------------------
@@ -355,10 +379,6 @@ def test_rejected_pool_is_a_usage_error(capsys, tmp_path, command, pool, message
     assert out == ""
     assert err.startswith("error:") and message in err
     assert len(err.splitlines()) == 1
-
-
-# c = nextprime(10^19) * nextprime(3 * 10^19): the default effort cannot split it
-HARD_ALPHA = "1/300000000000000001940000000000000002091"
 
 
 @pytest.mark.parametrize("command", ["check", "batch"])

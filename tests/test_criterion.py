@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import read_fixture, reference_factorize
+from conftest import HARD_ALPHA, read_fixture, reference_factorize
 from walkspec import numtheory
 from walkspec.criterion import (
     ALPHA_HALF,
@@ -78,6 +78,30 @@ def test_alpha_param_validation():
         AlphaParam.make(1, 0)
     with pytest.raises(ValueError):
         AlphaParam.parse("7/6")
+
+
+def test_alpha_odd_primes():
+    expected = {1: (), 2: (), 12: (3,), 45: (3, 5), 66: (3, 11), 70: (5, 7)}
+    for c, primes in expected.items():
+        alpha = ALPHA_ZERO if c == 1 else AlphaParam(1, c)
+        assert alpha.odd_primes == tuple(numtheory.odd_prime_divisors(c)) == primes
+
+
+def test_alpha_odd_primes_leave_equality_and_hash_alone():
+    a, b = AlphaParam(5, 66), AlphaParam.parse("5/66")
+    assert a == b and hash(a) == hash(b)
+    assert a.odd_primes == (3, 11)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert b.odd_primes == (3, 11)
+    assert a == b and hash(a) == hash(b)
+    assert a != AlphaParam(7, 66)
+
+
+def test_alpha_odd_primes_of_an_unfactorable_denominator():
+    alpha = AlphaParam.parse(HARD_ALPHA)
+    with pytest.raises(FactorizationBudgetError):
+        alpha.odd_primes
+    assert "odd_primes" not in vars(alpha)  # the error is not cached
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,13 @@ def test_int_matrix_validation():
     for empty in ([], ()):
         m = IntMatrix(empty)
         assert (m.rows, m.cols, m.to_lists()) == (0, 0, [])
+    assert IntMatrix([]).transpose() == IntMatrix([])
+    # a 0 x k matrix has no representation, so k x 0 has no transpose
+    for k in (1, 3):
+        with pytest.raises(ValueError):
+            IntMatrix([[]] * k).transpose()
+    m = IntMatrix([[1, 2], [3, 4]]) @ IntMatrix([[], []])
+    assert (m.rows, m.cols) == (2, 0)
 
 
 def test_int_matrix_arithmetic():
@@ -218,6 +225,8 @@ def test_snf_known_values():
     assert smith_divisors(IntMatrix([[6]])) == (6,)
     assert smith_divisors(IntMatrix([[0, 0, 0], [0, 0, 0]])) == (0, 0)
     assert smith_divisors(IntMatrix.identity(4)) == (1, 1, 1, 1)
+    assert smith_divisors(IntMatrix([])) == ()
+    assert smith_divisors(IntMatrix([[], []])) == ()
     assert smith_divisors(IntMatrix.diagonal([2, 3])) == (1, 6)
     assert smith_divisors(IntMatrix.diagonal([6, 4])) == (2, 12)
 

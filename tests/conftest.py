@@ -2,6 +2,7 @@ import pathlib
 import random
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -466,3 +467,36 @@ def reference_factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Facto
             pending.append(d)
             pending.append(mcand // d)
     return Factorization(x, tuple(sorted(counts.items())))
+
+
+# The bigint trace recursion that computed every characteristic polynomial
+# before the Hessenberg reduction modulo a Mersenne prime replaced it, kept
+# verbatim (names aside) as the reference that kernel's results must match.
+
+
+def reference_charpoly(m: IntMatrix) -> tuple[int, ...]:
+    """Coefficients (c0, ..., cn) of det(xI - m), cn = 1, by trace recursion.
+
+    Step k divides the running trace by k; the quotient is exact because the
+    coefficients are integers for any integer matrix. The running product
+    lives in plain row lists, and adding c*I touches only its diagonal.
+    """
+    if not m.is_square:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    n = m.rows
+    rows = m._data
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    work = [list(r) for r in rows]  # m @ I
+    for k in range(1, n + 1):
+        t = sum(work[i][i] for i in range(n))
+        if t % k:
+            raise AssertionError("trace recursion divided inexactly")
+        c = -(t // k)
+        coeffs[n - k] = c
+        if k < n:
+            for i in range(n):
+                work[i][i] += c
+            cols = list(zip(*work))
+            work = [[sum(map(mul, r, col)) for col in cols] for r in rows]
+    return tuple(coeffs)

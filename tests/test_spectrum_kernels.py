@@ -1,43 +1,78 @@
 """Differential checks of the spectrum-key kernels against slower references.
 
-The list-level characteristic polynomial is checked against the matrix-object
-trace recursion it replaced, and the derived complement polynomial against
-the characteristic polynomial of the complement's scaled matrix.
+`linalg.charpoly` reduces the matrix to Hessenberg form by similarity modulo
+a Mersenne prime P above 2(1 + R)^n, R the largest absolute row sum, and
+lifts each residue to (-P/2, P/2]. Every eigenvalue has |l| <= R, so every
+coefficient is at most (1 + R)^n in absolute value and the lift is exact.
+It is checked against the bigint trace recursion it replaced, including at
+the edge of that bound, where a smaller prime would wrap a coefficient. The
+derived complement polynomial is checked against the characteristic
+polynomial of the complement's scaled matrix.
 """
 
 import random
+from math import comb
 
 import pytest
 
+from conftest import reference_charpoly
 from walkspec.criterion import AlphaParam, alpha_matrix, spectrum_key
 from walkspec.graphs import Graph, complement, enumerate_graphs
-from walkspec.linalg import IntMatrix, charpoly
+from walkspec.linalg import _MERSENNE_EXPONENTS, IntMatrix, charpoly
 
 ALPHAS = tuple(AlphaParam.parse(t) for t in ("0", "1/2", "2/3", "3/4", "5/6"))
 
-
-def _charpoly_reference(m: IntMatrix) -> tuple[int, ...]:
-    """Trace recursion on IntMatrix objects: work = m @ work + c*I."""
-    n = m.rows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    work = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        work = m @ work
-        t = work.trace()
-        assert t % k == 0
-        c = -(t // k)
-        coeffs[n - k] = c
-        if k < n:
-            work = IntMatrix([[work[i, j] + (c if i == j else 0)
-                               for j in range(n)] for i in range(n)])
-    return tuple(coeffs)
+# c = 100000000003 * 200000000041: (1 + R)^7 passes 2^127 at order 7
+BIG_C_ALPHA = AlphaParam.parse("1/20000000004700000000123")
 
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
     p = rng.random()
     return Graph(n, [(i, j) for j in range(n) for i in range(j)
                      if rng.random() < p])
+
+
+def _iroot(x: int, k: int) -> int:
+    """Largest r >= 0 with r^k <= x."""
+    lo, hi = 0, 1 << (x.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** k <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _bound_bits(m: IntMatrix) -> int:
+    r = max((sum(map(abs, row)) for row in m.to_lists()), default=0)
+    return ((1 + r) ** m.rows).bit_length()
+
+
+def test_mersenne_exponents_give_primes():
+    # Lucas-Lehmer: 2^e - 1 (e odd prime) is prime iff s_(e-2) = 0, where
+    # s_0 = 4 and s_(i+1) = s_i^2 - 2 mod 2^e - 1
+    assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
+    for e in _MERSENNE_EXPONENTS:
+        if e > 4423:
+            break
+        p = (1 << e) - 1
+        s = 4
+        for _ in range(e - 2):
+            s = (s * s - 2) % p
+        assert s == 0, e
+
+
+@pytest.mark.parametrize("alpha", ALPHAS[:4] + (BIG_C_ALPHA,), ids=str)
+def test_charpoly_matches_reference_exhaustive_small_orders(alpha):
+    widest = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            m = alpha_matrix(g, alpha)
+            assert charpoly(m) == reference_charpoly(m), (g, alpha)
+            widest = max(widest, _bound_bits(m))
+    if alpha is BIG_C_ALPHA:
+        assert widest > 127
 
 
 def test_charpoly_matches_reference_on_random_matrices():
@@ -47,7 +82,16 @@ def test_charpoly_matches_reference_on_random_matrices():
         lo, hi = rng.choice(((-9, 9), (0, 1), (-1000, 1000)))
         m = IntMatrix([[rng.randint(lo, hi) for _ in range(n)]
                        for _ in range(n)])
-        assert charpoly(m) == _charpoly_reference(m), n
+        assert charpoly(m) == reference_charpoly(m), n
+
+
+def test_charpoly_matches_reference_on_huge_entries():
+    rng = random.Random(3034)
+    for n in list(range(0, 13)) * 2:
+        bound = 10 ** rng.choice((6, 18, 30))
+        m = IntMatrix([[rng.randint(-bound, bound) for _ in range(n)]
+                       for _ in range(n)])
+        assert charpoly(m) == reference_charpoly(m), n
 
 
 def test_charpoly_matches_reference_on_symmetric_matrices():
@@ -58,7 +102,70 @@ def test_charpoly_matches_reference_on_symmetric_matrices():
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.randint(-5, 5)
         m = IntMatrix(rows)
-        assert charpoly(m) == _charpoly_reference(m), n
+        assert charpoly(m) == reference_charpoly(m), n
+
+
+def test_charpoly_at_the_coefficient_bound():
+    # R*I has (x - R)^n, coefficients C(n, k) (-R)^k; with R just below
+    # the root of a Mersenne prime, |(-R)^n| passes half of it, so a prime
+    # picked against R^n, or against (1 + R)^n without the factor 2, wraps
+    for e in _MERSENNE_EXPONENTS[:6]:
+        for n in (1, 2, 3, 5, 8):
+            root = _iroot((1 << e) - 2, n)
+            for r in (root - 1, root, root + 1):
+                for s in (r, -r):
+                    want = tuple(comb(n, k) * (-s) ** (n - k)
+                                 for k in range(n + 1))
+                    m = IntMatrix.diagonal([s] * n)
+                    assert charpoly(m) == want, (e, n, s)
+                    assert reference_charpoly(m) == want
+                # the all-R matrix: x^(n-1) (x - nR)
+                m = IntMatrix([[r] * n for _ in range(n)])
+                want = (0,) * (n - 1) + (-n * r, 1)
+                assert charpoly(m) == reference_charpoly(m) == want, (e, n, r)
+    # for small R the middle coefficients outgrow R^n: C(64, 32) and
+    # C(59, 39) 2^39 pass 2^60, while 2 R^n stays below 2^61 - 1
+    for s, n in ((1, 64), (-1, 64), (2, 59), (-2, 59)):
+        want = tuple(comb(n, k) * (-s) ** (n - k) for k in range(n + 1))
+        assert charpoly(IntMatrix.diagonal([s] * n)) == want, (s, n)
+
+
+def test_charpoly_matches_reference_on_block_triangular_matrices():
+    # below a diagonal block's last column the rest of that column is zero,
+    # so the Hessenberg reduction finds no pivot there and skips it
+    rng = random.Random(3035)
+    for _ in range(60):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        n = sum(sizes)
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        start = 0
+        for size in sizes:
+            for i in range(start + size, n):
+                for j in range(start, start + size):
+                    rows[i][j] = 0
+            start += size
+        for m in (IntMatrix(rows), IntMatrix(rows).transpose()):
+            assert charpoly(m) == reference_charpoly(m), m
+    for n in (3, 6):
+        zero = IntMatrix([[0] * n for _ in range(n)])
+        assert charpoly(zero) == (0,) * n + (1,)
+        upper = IntMatrix([[rng.randint(-9, 9) if j > i else 0
+                            for j in range(n)] for i in range(n)])
+        assert charpoly(upper) == (0,) * n + (1,)
+
+
+def test_charpoly_smallest_orders():
+    assert charpoly(IntMatrix([])) == reference_charpoly(IntMatrix([])) == (1,)
+    for x in (0, 1, -1, 10 ** 40, -(10 ** 40)):
+        assert charpoly(IntMatrix([[x]])) == (-x, 1)
+    rng = random.Random(3036)
+    for _ in range(50):
+        a, b, c, d = (rng.randint(-10 ** 20, 10 ** 20) for _ in range(4))
+        m = IntMatrix([[a, b], [c, d]])
+        assert charpoly(m) == (a * d - b * c, -(a + d), 1)
+    # a bound past the largest tabulated Mersenne prime is refused up front
+    with pytest.raises(ValueError, match="exceeds every tabulated"):
+        charpoly(IntMatrix([[1 << _MERSENNE_EXPONENTS[-1]]]))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS, ids=str)

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, islice
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import numtheory
 from .graphs import Graph, degree_vector, is_connected
@@ -83,29 +84,28 @@ def alpha_matrix(g: Graph, alpha: AlphaParam) -> IntMatrix:
     """Integral matrix a*D + b*A, the c_alpha-scaled alpha blend of degrees
     and adjacencies."""
     a, b = alpha.a, alpha.b
-    degs = degree_vector(g)
+    rows = [[b * x for x in row] for row in g.adjacency_rows()]
+    for i, d in enumerate(degree_vector(g)):
+        rows[i][i] = a * d
+    return IntMatrix(rows)
+
+
+def _power_columns(g: Graph, alpha: AlphaParam) -> Iterator[list[int]]:
+    """The vectors d, M d, M^2 d, ... without end, for the scaled matrix M
+    and the degree vector d, each entry one row sum over the neighbors."""
     rows = g.adjacency_rows()
-    return IntMatrix([[b * rows[i][j] if i != j else a * degs[i]
-                       for j in range(g.n)] for i in range(g.n)])
-
-
-def _power_columns(m: IntMatrix, v: list[int], kmax: int) -> list[list[int]]:
-    """The vectors v, M v, ..., M^kmax v (just v when kmax < 1)."""
-    cols = [v]
-    for _ in range(kmax):
-        v = list(m.matvec(v))
-        cols.append(v)
-    return cols
+    v = [sum(row) for row in rows]
+    diag = [alpha.a * d for d in v]
+    b = alpha.b
+    while True:
+        yield v
+        v = [x * y + b * sum(compress(v, row)) for x, y, row in zip(diag, v, rows)]
 
 
 def walk_matrix(g: Graph, alpha: AlphaParam) -> IntMatrix:
     """Normalized walk matrix: columns 1, M1/c, ..., M^(n-1)1/c for the
     scaled matrix M. Integral for every graph since M1 = c*d."""
-    n = g.n
-    cols: list[list[int]] = [[1] * n]
-    if n > 1:
-        cols += _power_columns(alpha_matrix(g, alpha), list(degree_vector(g)), n - 2)
-    return IntMatrix.from_columns(cols)
+    return IntMatrix(list(zip([1] * g.n, *islice(_power_columns(g, alpha), g.n - 1))))
 
 
 class AuxWalkMatrices(NamedTuple):
@@ -160,13 +160,15 @@ def spectrum_key(g: Graph, alpha: AlphaParam) -> SpectrumKey:
     determinant lemma, q(y) = det(yI - M + bJ) = p(y) + b 1^T adj(yI - M) 1
     for p = charpoly(M). Cayley-Hamilton gives
     adj(yI - M) = sum_{i=1..n} p_i sum_{k<i} y^(i-1-k) M^k, so the second
-    term needs only the moments mu_k = 1^T M^k 1. All of it is integer
-    arithmetic, and the result equals charpoly(alpha_matrix(complement(g))).
+    term needs only the moments mu_k = 1^T M^k 1: mu_0 = n, and, since
+    M1 = c*d, mu_k = c * 1^T M^(k-1) d, c times the sum of column k of the
+    walk matrix. All of it is integer arithmetic, and the result equals
+    charpoly(alpha_matrix(complement(g))).
     """
     n = g.n
-    m = alpha_matrix(g, alpha)
-    p = charpoly(m)
-    mu = [sum(v) for v in _power_columns(m, [1] * n, n - 1)]
+    c = alpha.c_alpha
+    p = charpoly(alpha_matrix(g, alpha))
+    mu = [n, *(c * sum(v) for v in islice(_power_columns(g, alpha), n - 1))]
     return SpectrumKey(p, _complement_charpoly(p, mu, alpha))
 
 

@@ -8,8 +8,11 @@ finds 12-20-digit primes in tens of curves.
 
 Trial division takes one gcd per block of _BLOCK consecutive primes, against
 the block's product, and divides only by the primes of a block whose gcd is
-not 1. Any composite it leaves is the one that dividing by each prime in
-turn would leave, so rho and ECM see the same inputs either way.
+not 1. A cofactor above TRIAL_LIMIT is tested for primality first and after
+each block that divided it, and trial division stops once it is a probable
+prime, which then needs no further block. Any composite it leaves is the one
+that dividing by each prime in turn would leave, so rho and ECM see the same
+inputs either way.
 
 Effort is counted in rho units: one unit is one step charged by the rho walk.
 An ECM curve is charged before it runs, at _ECM_UNITS_PER_MUL units per
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice, repeat
 from math import gcd, isqrt, prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 TRIAL_LIMIT = 10**6
 # effort units (rho steps; see the module docstring) before giving up
@@ -111,7 +114,8 @@ def _mr_witness(x: int, a: int, d: int, r: int) -> bool:
 
 def is_probable_prime(x: int) -> bool:
     """Miller-Rabin: exact below the twelve-base deterministic bound, 64
-    input-seeded random rounds above it (error probability < 4^-64)."""
+    input-seeded random rounds above it (error probability < 4^-64), their
+    bases drawn one at a time, so a composite stops at its first witness."""
     if x < 1:
         raise ValueError("primality is defined for positive integers")
     if x == 1:
@@ -126,11 +130,12 @@ def is_probable_prime(x: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
+    bases: Iterable[int]
     if x < _DETERMINISTIC_BOUND:
         bases = _FIXED_BASES
     else:
         rng = random.Random(x ^ _SEED_SALT)
-        bases = tuple(rng.randrange(2, x - 1) for _ in range(_RANDOM_ROUNDS))
+        bases = (rng.randrange(2, x - 1) for _ in range(_RANDOM_ROUNDS))
     return not any(_mr_witness(x, a, d, r) for a in bases)
 
 
@@ -347,10 +352,12 @@ def _ecm(m: int, budget: list[int], schedule: Iterator[tuple[int, int]]) -> int:
 def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
     """Full prime factorization: trial division by primes to 10^6, rho on at
     most RHO_SHARE of the effort, then ECM on the rest, with primality
-    certification of every remaining cofactor. Trial division walks the
-    blocks of _sieve() in order, up to the first block whose least prime
-    squared exceeds the cofactor; a block whose product is coprime to the
-    cofactor is skipped with one gcd.
+    certification of every remaining cofactor, each tested once. Trial
+    division walks the blocks of _sieve() in order, up to the first block
+    whose least prime squared exceeds the cofactor, or until the cofactor,
+    tested first and after each block that divides it when above
+    TRIAL_LIMIT, is a probable prime; a block whose product is coprime to
+    the cofactor is skipped with one gcd.
 
     Raises FactorizationBudgetError when the effort runs out; never returns
     a guessed or partial factorization. For effort <= RHO_SHARE, ECM never
@@ -361,8 +368,11 @@ def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
     primes, products = _sieve()
     counts: dict[int, int] = {}
     rem = x
+    # the square bound settles a cofactor of at most TRIAL_LIMIT within two
+    # blocks, so only a larger one is worth a primality test
+    prime = rem > TRIAL_LIMIT and is_probable_prime(rem)
     for start, block in zip(range(0, len(primes), _BLOCK), products):
-        if primes[start] ** 2 > rem:
+        if prime or primes[start] ** 2 > rem:
             break
         g = gcd(rem, block)
         if g == 1:
@@ -376,16 +386,16 @@ def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
                     rem //= p
                 if g == 1:
                     break
-    if rem > 1:
+        prime = rem > TRIAL_LIMIT and is_probable_prime(rem)
+    if prime or 1 < rem <= TRIAL_LIMIT:
+        counts[rem] = 1
+    elif rem > 1:
         share = min(effort, RHO_SHARE)
         budget = [share]
         schedule = None  # ECM's, once rho has spent its share
-        pending = [rem]
+        pending = [rem]  # known composites, so no cofactor is tested twice
         while pending:
             mcand = pending.pop()
-            if mcand <= TRIAL_LIMIT or is_probable_prime(mcand):
-                counts[mcand] = counts.get(mcand, 0) + 1
-                continue
             if schedule is None:
                 try:
                     d = _brent_rho(mcand, budget)
@@ -400,8 +410,11 @@ def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
                 d = isqrt(mcand)
                 if d * d != mcand:
                     d = _ecm(mcand, budget, schedule)
-            pending.append(d)
-            pending.append(mcand // d)
+            for f in (d, mcand // d):
+                if f <= TRIAL_LIMIT or is_probable_prime(f):
+                    counts[f] = counts.get(f, 0) + 1
+                else:
+                    pending.append(f)
     return Factorization(x, tuple(sorted(counts.items())))
 
 

@@ -6,6 +6,7 @@ from operator import mul
 
 import pytest
 
+from walkspec.graphs import degree_vector
 from walkspec.linalg import IntMatrix, SingularMatrixError, _echelon
 from walkspec import numtheory
 from walkspec.numtheory import (
@@ -500,3 +501,48 @@ def reference_charpoly(m: IntMatrix) -> tuple[int, ...]:
             cols = list(zip(*work))
             work = [[sum(map(mul, r, col)) for col in cols] for r in rows]
     return tuple(coeffs)
+
+
+# The scaled matrix, the walk matrix and the spectrum key's moment pass as
+# they were built through IntMatrix products before the power columns came
+# straight from each graph's neighbor rows, kept verbatim (names aside, and
+# the moment pass cut out of spectrum_key) as the references that kernel's
+# results must match.
+
+
+def reference_alpha_matrix(g, alpha) -> IntMatrix:
+    """Integral matrix a*D + b*A, the c_alpha-scaled alpha blend of degrees
+    and adjacencies."""
+    a, b = alpha.a, alpha.b
+    degs = degree_vector(g)
+    rows = g.adjacency_rows()
+    return IntMatrix([[b * rows[i][j] if i != j else a * degs[i]
+                       for j in range(g.n)] for i in range(g.n)])
+
+
+def _reference_power_columns(m: IntMatrix, v: list[int], kmax: int) -> list[list[int]]:
+    """The vectors v, M v, ..., M^kmax v (just v when kmax < 1)."""
+    cols = [v]
+    for _ in range(kmax):
+        v = list(m.matvec(v))
+        cols.append(v)
+    return cols
+
+
+def reference_walk_matrix(g, alpha) -> IntMatrix:
+    """Normalized walk matrix: columns 1, M1/c, ..., M^(n-1)1/c for the
+    scaled matrix M. Integral for every graph since M1 = c*d."""
+    n = g.n
+    cols: list[list[int]] = [[1] * n]
+    if n > 1:
+        cols += _reference_power_columns(reference_alpha_matrix(g, alpha),
+                                         list(degree_vector(g)), n - 2)
+    return IntMatrix.from_columns(cols)
+
+
+def reference_walk_moments(g, alpha) -> list[int]:
+    """The moments 1^T M^k 1, k < n, of the scaled matrix M, as the
+    spectrum key computed them."""
+    n = g.n
+    m = reference_alpha_matrix(g, alpha)
+    return [sum(v) for v in _reference_power_columns(m, [1] * n, n - 1)]

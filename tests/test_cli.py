@@ -3,12 +3,14 @@
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from conftest import FIXTURES, HARD_ALPHA, read_fixture
 from walkspec import numtheory
 from walkspec.cli import EXIT_CERTIFIED, EXIT_FAILED, EXIT_LIMITED, EXIT_USAGE, main
+from walkspec.graphs import Graph, encode_graph6
 
 G13 = read_fixture("dgas13.g6").strip()
 G14 = read_fixture("dgas14.g6").strip()
@@ -272,6 +274,17 @@ def test_batch_output_bytes_are_pinned(capsys, tmp_path):
     assert code == EXIT_FAILED
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "125eba0f18dbd238e9f4f3de92a4a63c15017bdc0dde5c4e84e199519dbb802e")
+    # 200 random order-11 graphs at a scan's effort, ten of them undecided;
+    # sha256 recorded before trial division stopped at a prime cofactor
+    rng = random.Random(1500)
+    pool = [Graph(11, [(i, j) for j in range(11) for i in range(j) if rng.random() < 0.5])
+            for _ in range(200)]
+    path.write_text("".join(encode_graph6(g) + "\n" for g in pool))
+    code, out, _ = _run(capsys, "batch", "--effort", "10000", "--alpha", "3/4", str(path))
+    assert code == EXIT_CERTIFIED
+    assert out.endswith('"UNDECIDED_FACTORIZATION":10}}\n')
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1bf66a657e4bd53b8b1bb1a51d6b47c7d298844a3961014b29f03a0c111de3e")
 
 
 def test_batch_factors_alpha_denominator_once(capsys, monkeypatch, tmp_path):

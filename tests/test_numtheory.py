@@ -246,7 +246,8 @@ def test_factorize_exhaustive_small_inputs_without_effort():
 def test_block_trial_division_matches_per_prime_reference(monkeypatch):
     """Block-gcd trial division against the per-prime loop of
     reference_factorize: the same factors or the same budget error at each
-    effort within rho's share, and rho is handed the same cofactors."""
+    effort within rho's share, and rho is handed the same cofactors, also
+    where the blocks stop early at a prime cofactor."""
     rng = random.Random(306)
     primes = numtheory._sieve_primes()
     block = numtheory._BLOCK
@@ -267,6 +268,16 @@ def test_block_trial_division_matches_per_prime_reference(monkeypatch):
     for _ in range(30):
         pq = _prime_between(rng, 10 ** 3, 10 ** 6) * _prime_between(rng, 10 ** 3, 10 ** 6)
         cases += [pq, pq * rng.choice(big)]
+    # cofactors that are prime before any block divides, after one and after
+    # several; one above the deterministic bound takes the 64 random rounds
+    huge = _prime_between(rng, 10 ** 24, 10 ** 25)
+    for q in big + [huge]:
+        starts = rng.sample(range(0, len(primes), block), 4)
+        cases += [q, primes[starts[0]] * q, prod(primes[t] ** 2 for t in starts) * q,
+                  2 ** 40 * 3 * q]
+    # sieve primes left prime before their own block, and two sieve primes
+    # left composite until the last block
+    cases += [3 * 999_983, 7 ** 3 * 1_009, 2 * 3 * 5 * 999_979 * 999_983]
 
     seen = {"new": [], "reference": []}
 

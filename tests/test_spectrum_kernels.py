@@ -8,6 +8,10 @@ It is checked against the bigint trace recursion it replaced, including at
 the edge of that bound, where a smaller prime would wrap a coefficient. The
 derived complement polynomial is checked against the characteristic
 polynomial of the complement's scaled matrix.
+
+The walk matrix, the scaled matrix and the spectrum key's walk moments come
+from power columns built straight from each graph's neighbor rows; they are
+checked against the IntMatrix product construction they replaced.
 """
 
 import random
@@ -15,8 +19,10 @@ from math import comb
 
 import pytest
 
-from conftest import reference_charpoly
-from walkspec.criterion import AlphaParam, alpha_matrix, spectrum_key
+from conftest import (HARD_ALPHA, reference_alpha_matrix, reference_charpoly,
+                      reference_walk_matrix, reference_walk_moments)
+from walkspec.criterion import (AlphaParam, _complement_charpoly, alpha_matrix,
+                                spectrum_key, walk_matrix)
 from walkspec.graphs import Graph, complement, enumerate_graphs
 from walkspec.linalg import _MERSENNE_EXPONENTS, IntMatrix, charpoly
 
@@ -186,3 +192,18 @@ def test_derived_complement_poly_random_pool():
             alpha = rng.choice(ALPHAS)
             want = charpoly(alpha_matrix(complement(g), alpha))
             assert spectrum_key(g, alpha).poly_complement == want, (g, alpha)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS[:4] + (AlphaParam.parse(HARD_ALPHA),), ids=str)
+def test_walk_kernel_matches_reference(alpha):
+    rng = random.Random(3037)
+    pool = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    pool += [_random_graph(rng, n) for n in range(8, 27)]
+    for g in pool:
+        assert alpha_matrix(g, alpha) == reference_alpha_matrix(g, alpha), (g, alpha)
+        assert walk_matrix(g, alpha) == reference_walk_matrix(g, alpha), (g, alpha)
+        # the key's poly is charpoly(alpha_matrix(g)), which the tests above
+        # check; the walk moments decide its complement poly
+        key = spectrum_key(g, alpha)
+        mu = reference_walk_moments(g, alpha)
+        assert key.poly_complement == _complement_charpoly(key.poly, mu, alpha), (g, alpha)

@@ -108,37 +108,6 @@ def walk_matrix(g: Graph, alpha: AlphaParam) -> IntMatrix:
     return IntMatrix(list(zip([1] * g.n, *islice(_power_columns(g, alpha), g.n - 1))))
 
 
-class AuxWalkMatrices(NamedTuple):
-    """Truncated companions of the normalized walk matrix.
-
-    half: the first ceil(n/2) power columns for even n (powers 0..n/2-1),
-    powers 1..(n-1)/2 for odd n. even: the even-power columns (0 included
-    for even n). doubled: all n columns with the all-ones column doubled.
-    """
-
-    half: IntMatrix
-    even: IntMatrix
-    doubled: IntMatrix
-
-
-def auxiliary_walk_matrices(g: Graph, alpha: AlphaParam) -> AuxWalkMatrices:
-    n = g.n
-    if n < 2:
-        raise ValueError("auxiliary walk matrices need at least 2 vertices")
-    # column k of w is M^k 1 / c
-    w = walk_matrix(g, alpha)
-    if n % 2 == 0:
-        half_exps = range(0, n // 2)
-        even_exps = range(0, n, 2)
-    else:
-        half_exps = range(1, (n - 1) // 2 + 1)
-        even_exps = range(2, n, 2)
-    half = IntMatrix.from_columns([w.column(e) for e in half_exps])
-    even = IntMatrix.from_columns([w.column(e) for e in even_exps])
-    doubled = IntMatrix.from_columns([[2] * n] + [w.column(e) for e in range(1, n)])
-    return AuxWalkMatrices(half, even, doubled)
-
-
 class SpectrumKey(NamedTuple):
     """Characteristic polynomials (ascending coefficients) of the scaled
     matrix for the graph and for its complement; equal keys mean equal
@@ -162,8 +131,8 @@ def spectrum_key(g: Graph, alpha: AlphaParam) -> SpectrumKey:
     adj(yI - M) = sum_{i=1..n} p_i sum_{k<i} y^(i-1-k) M^k, so the second
     term needs only the moments mu_k = 1^T M^k 1: mu_0 = n, and, since
     M1 = c*d, mu_k = c * 1^T M^(k-1) d, c times the sum of column k of the
-    walk matrix. All of it is integer arithmetic, and the result equals
-    charpoly(alpha_matrix(complement(g))).
+    walk matrix. All of it is integer arithmetic, and the result equals the
+    characteristic polynomial of the complement's scaled matrix.
     """
     n = g.n
     c = alpha.c_alpha

@@ -1,4 +1,4 @@
-"""Simple undirected graphs: construction, graph6 codec, enumeration, isomorphism.
+"""Simple undirected graphs: construction, graph6 codec, canonical forms, enumeration.
 
 Vertices are 0..n-1. Graphs are immutable; adjacency is kept both as a sorted
 edge tuple and as per-vertex neighbor bitmasks.
@@ -43,20 +43,6 @@ class Graph:
             rows[v] |= 1 << u
         self._rows = tuple(rows)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._rows[u] >> v & 1)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        row = self._rows[v]
-        return tuple(u for u in range(self.n) if row >> u & 1)
-
-    def degree(self, v: int) -> int:
-        return bin(self._rows[v]).count("1")
-
     def adjacency_rows(self) -> list[list[int]]:
         """Dense 0/1 adjacency matrix as row lists."""
         return [[self._rows[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
@@ -73,20 +59,6 @@ class Graph:
 
 def degree_vector(g: Graph) -> tuple[int, ...]:
     return tuple(bin(r).count("1") for r in g._rows)
-
-
-def complement(g: Graph) -> Graph:
-    n = g.n
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if not g.has_edge(i, j)]
-    return Graph(n, edges)
-
-
-def relabel(g: Graph, perm: Iterable[int]) -> Graph:
-    """Image of g under the vertex map old -> perm[old]."""
-    p = list(perm)
-    if sorted(p) != list(range(g.n)):
-        raise ValueError("perm is not a permutation of the vertex set")
-    return Graph(g.n, [(p[u], p[v]) for u, v in g.edges])
 
 
 def is_connected(g: Graph) -> bool:
@@ -257,7 +229,7 @@ def parse_edge_list(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# canonical labeling, isomorphism, enumeration
+# canonical labeling and enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -337,14 +309,6 @@ def canonical_form(g: Graph) -> bytes:
     if g.n > CANONICAL_CAP:
         raise ValueError(f"canonical form supports at most {CANONICAL_CAP} vertices")
     return _canonical_rows(g.n, g._rows)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(degree_vector(g)) != sorted(degree_vector(h)):
-        return False
-    return canonical_form(g) == canonical_form(h)
 
 
 _enum_cache: dict[int, tuple[bytes, ...]] = {}

@@ -56,17 +56,6 @@ class IntMatrix:
     def identity(cls, n: int) -> IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]]) -> IntMatrix:
-        rows = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(rows)])
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> IntMatrix:
-        k = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(k)]
-                    for i in range(k)])
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -74,12 +63,6 @@ class IntMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self._data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self._data)
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self._data]
@@ -106,11 +89,6 @@ class IntMatrix:
 
     def scaled(self, k: int) -> IntMatrix:
         return IntMatrix([[k * x for x in r] for r in self._data])
-
-    def trace(self) -> int:
-        if not self.is_square:
-            raise ValueError("trace requires a square matrix")
-        return sum(self._data[i][i] for i in range(self.rows))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntMatrix) and self._data == other._data

@@ -64,12 +64,6 @@ class Factorization:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def product(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
     @property
     def square_witness(self) -> int | None:
         """The smallest prime dividing value twice, or None when value is

@@ -97,6 +97,8 @@ def _mate_classes(keyed: _Keyed) -> list[MateClass]:
 
 
 def _plain_only_classes(keyed: _Keyed) -> list[tuple[Graph, ...]]:
+    """Groups cospectral for the graph polynomial alone but split by the
+    complement polynomial."""
     by_poly: dict[tuple[int, ...], _Keyed] = {}
     for entry in keyed:
         by_poly.setdefault(entry[1].poly, []).append(entry)
@@ -118,13 +120,6 @@ def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateCl
     per isomorphism class, classes sorted by key and members by canonical
     form."""
     return _mate_classes(_keyed_pool(graphs, alpha))
-
-
-def plain_cospectral_only_classes(graphs: Iterable[Graph],
-                                  alpha: AlphaParam) -> list[tuple[Graph, ...]]:
-    """Groups cospectral for the graph polynomial alone but split by the
-    complement polynomial; informational companion to find_mate_classes."""
-    return _plain_only_classes(_keyed_pool(graphs, alpha))
 
 
 def build_U(g: Graph, h: Graph, alpha: AlphaParam) -> OrthogonalCertificate:

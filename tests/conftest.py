@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from walkspec.graphs import degree_vector
+from walkspec.graphs import Graph, degree_vector
 from walkspec.linalg import IntMatrix, SingularMatrixError, _echelon
 from walkspec import numtheory
 from walkspec.numtheory import (
@@ -32,6 +32,23 @@ def fixtures_dir() -> pathlib.Path:
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
+    """Each edge (u, v), u < v, drawn in row-major order with probability p."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+def complement(g: Graph) -> Graph:
+    edges = set(g.edges)
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if (u, v) not in edges])
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Image of g under the vertex map old -> perm[old]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def det_cofactor(rows):
@@ -505,9 +522,10 @@ def reference_charpoly(m: IntMatrix) -> tuple[int, ...]:
 
 # The scaled matrix, the walk matrix and the spectrum key's moment pass as
 # they were built through IntMatrix products before the power columns came
-# straight from each graph's neighbor rows, kept verbatim (names aside, and
-# the moment pass cut out of spectrum_key) as the references that kernel's
-# results must match.
+# straight from each graph's neighbor rows, kept verbatim (names aside, the
+# moment pass cut out of spectrum_key, and the walk matrix's columns packed
+# by zip rather than by a column constructor) as the references that
+# kernel's results must match.
 
 
 def reference_alpha_matrix(g, alpha) -> IntMatrix:
@@ -537,7 +555,7 @@ def reference_walk_matrix(g, alpha) -> IntMatrix:
     if n > 1:
         cols += _reference_power_columns(reference_alpha_matrix(g, alpha),
                                          list(degree_vector(g)), n - 2)
-    return IntMatrix.from_columns(cols)
+    return IntMatrix(list(zip(*cols)))
 
 
 def reference_walk_moments(g, alpha) -> list[int]:

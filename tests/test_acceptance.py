@@ -1,6 +1,6 @@
 """Top-level acceptance gate: golden values, property suites, exhaustive
 verification, certificate arithmetic, kernel cross-oracles, and corollary
-consistency. Each test prints one PASS/FAIL line."""
+consistency. Each acceptance test prints one PASS/FAIL line."""
 
 import hashlib
 import json
@@ -11,7 +11,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import det_cofactor, read_fixture, smith_reference
+from conftest import (complement, det_cofactor, random_graph, read_fixture,
+                      smith_reference)
 from walkspec import numtheory
 from walkspec.criterion import (
     ALPHA_HALF,
@@ -19,11 +20,10 @@ from walkspec.criterion import (
     AlphaParam,
     Verdict,
     alpha_matrix,
-    auxiliary_walk_matrices,
     criterion_check,
     walk_matrix,
 )
-from walkspec.graphs import Graph, complement, enumerate_graphs, parse_graph6
+from walkspec.graphs import Graph, enumerate_graphs, parse_graph6
 from walkspec.linalg import IntMatrix, det_bareiss, rank_mod_p, smith_divisors
 from walkspec.oracle import verification_to_json, verify_theorem
 
@@ -44,12 +44,6 @@ def _report(k, name, ok):
     assert ok, f"acceptance criterion {k} ({name}) failed"
 
 
-def _random_graph(rng, n, p=0.5):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
-
-
 @pytest.fixture(scope="module")
 def fixture_graphs():
     return {
@@ -61,7 +55,7 @@ def fixture_graphs():
 @pytest.fixture(scope="module")
 def random_corpus():
     rng = random.Random(0xA5C0)
-    return [_random_graph(rng, rng.randint(2, 10)) for _ in range(500)]
+    return [random_graph(rng, rng.randint(2, 10)) for _ in range(500)]
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +131,33 @@ def test_acceptance_4_walk_rank_bound(random_corpus):
     _report(4, "walk matrix rank mod 2 bound", violations == 0)
 
 
+def _half_and_even(g, alpha):
+    """Columns of the walk matrix W, whose column k is M^k 1 / c: `half`
+    takes powers 0..n/2-1 for even n and 1..(n-1)/2 for odd n, `even` the
+    even powers, 0 included for even n only."""
+    cols = walk_matrix(g, alpha).transpose().to_lists()
+    odd = g.n % 2
+    return (IntMatrix(list(zip(*cols[odd:odd + g.n // 2]))),
+            IntMatrix(list(zip(*cols[2 * odd::2]))))
+
+
+def test_half_and_even_hand_values():
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    half, even = _half_and_even(p4, ALPHA_ZERO)
+    w = walk_matrix(p4, ALPHA_ZERO).to_lists()
+    # even order: half takes powers 0..n/2-1, even takes 0,2,..,n-2
+    assert half == IntMatrix([r[:2] for r in w])
+    assert [r[1] for r in half.to_lists()] == [1, 2, 2, 1]
+    assert even == IntMatrix([r[0::2] for r in w])
+    c5 = parse_graph6("DqK")
+    half5, even5 = _half_and_even(c5, ALPHA_HALF)
+    w5 = walk_matrix(c5, ALPHA_HALF).to_lists()
+    # odd order: half takes powers 1..(n-1)/2, even takes 2,4,..,n-1
+    assert half5 == IntMatrix([r[1:3] for r in w5])
+    assert even5 == IntMatrix([r[2::2] for r in w5])
+    assert half5.rows == 5 and half5.cols == 2
+
+
 def test_acceptance_5_certified_structure(fixture_graphs, theorem_reports):
     reports, _ = theorem_reports
     cases = [(fixture_graphs[14], AlphaParam(3, 4)),
@@ -156,9 +177,9 @@ def test_acceptance_5_certified_structure(fixture_graphs, theorem_reports):
         shape_ok = (div == (1,) * ones + (2,) * twos + (last,)
                     and last % 2 == 0 and (last // 2) % 2 == 1)
         b_free, _ = numtheory.is_square_free(last // 2)
-        aux = auxiliary_walk_matrices(g, alpha)
-        half_ok = rank_mod_p(aux.half, 2) == n // 2
-        cross = w.transpose() @ aux.even
+        half, even = _half_and_even(g, alpha)
+        half_ok = rank_mod_p(half, 2) == n // 2
+        cross = w.transpose() @ even
         halves_integral = all(cross[i, j] % 2 == 0 for i in range(cross.rows)
                               for j in range(cross.cols))
         cross_ok = False
@@ -249,7 +270,7 @@ def test_acceptance_8_complement_identity():
     violations = 0
     for _ in range(1000):
         n = rng.randint(1, 9)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         alpha = rng.choice(SIX_ALPHAS)
         a, b = alpha.a, alpha.b
         m = alpha_matrix(g, alpha)

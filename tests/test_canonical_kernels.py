@@ -15,7 +15,9 @@ import pytest
 from walkspec import graphs
 from walkspec.graphs import (CANONICAL_CAP, Graph, _representatives,
                              canonical_form, degree_vector, encode_graph6,
-                             enumerate_graphs, parse_graph6, relabel)
+                             enumerate_graphs, parse_graph6)
+
+from conftest import relabel
 
 # graphs on 8 nodes up to isomorphism, and connected ones (OEIS A000088, A001349)
 COUNT_8 = 12346

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import HARD_ALPHA, read_fixture, reference_factorize
+from conftest import (HARD_ALPHA, complement, random_graph, read_fixture,
+                      reference_factorize, relabel)
 from walkspec import numtheory
 from walkspec.criterion import (
     ALPHA_HALF,
@@ -14,7 +15,6 @@ from walkspec.criterion import (
     AlphaParam,
     Verdict,
     alpha_matrix,
-    auxiliary_walk_matrices,
     criterion_check,
     report_to_json,
     spectrum_key,
@@ -22,23 +22,15 @@ from walkspec.criterion import (
 )
 from walkspec.graphs import (
     Graph,
-    complement,
     degree_vector,
     enumerate_graphs,
     encode_graph6,
     parse_graph6,
-    relabel,
 )
 from walkspec.linalg import IntMatrix, det_bareiss
 from walkspec.numtheory import RHO_SHARE, FactorizationBudgetError
 
 ALPHAS = [AlphaParam.parse(s) for s in ("0", "1/2", "1/3", "2/3", "3/4", "5/6")]
-
-
-def _random_graph(rng, n, p=0.5):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +116,7 @@ def test_alpha_matrix_hand_values():
 def test_alpha_matrix_structure():
     rng = random.Random(401)
     for _ in range(40):
-        g = _random_graph(rng, rng.randint(1, 8))
+        g = random_graph(rng, rng.randint(1, 8))
         alpha = rng.choice(ALPHAS)
         m = alpha_matrix(g, alpha)
         degs = degree_vector(g)
@@ -157,14 +149,13 @@ def test_walk_matrix_matches_rational_definition():
     """The integer recursion equals the rational power construction."""
     rng = random.Random(402)
     for _ in range(80):
-        g = _random_graph(rng, rng.randint(1, 7))
+        g = random_graph(rng, rng.randint(1, 7))
         alpha = rng.choice(ALPHAS)
-        w = walk_matrix(g, alpha)
+        columns = walk_matrix(g, alpha).transpose().to_lists()
         oracle = _walk_oracle_columns(g, alpha)
         for k in range(g.n):
-            column = w.column(k)
             assert all(x.denominator == 1 for x in oracle[k])
-            assert tuple(int(x) for x in oracle[k]) == column
+            assert [int(x) for x in oracle[k]] == columns[k]
 
 
 def test_raw_walk_matrix_scaling():
@@ -172,7 +163,7 @@ def test_raw_walk_matrix_scaling():
     matrix, is the normalized one times diag(1, c, ..., c)."""
     rng = random.Random(403)
     for _ in range(40):
-        g = _random_graph(rng, rng.randint(1, 7))
+        g = random_graph(rng, rng.randint(1, 7))
         alpha = rng.choice(ALPHAS)
         c = alpha.c_alpha
         w = walk_matrix(g, alpha)
@@ -180,8 +171,9 @@ def test_raw_walk_matrix_scaling():
         columns = [(1,) * g.n]
         while len(columns) < g.n:
             columns.append(m.matvec(columns[-1]))
-        raw = IntMatrix.from_columns(columns)
-        scale = IntMatrix.diagonal([1] + [c] * (g.n - 1))
+        raw = IntMatrix(list(zip(*columns)))
+        scale = IntMatrix([[(c if i else 1) if i == j else 0 for j in range(g.n)]
+                           for i in range(g.n)])
         assert raw == w @ scale
         assert det_bareiss(raw) == c ** (g.n - 1) * det_bareiss(w)
 
@@ -190,34 +182,10 @@ def test_walk_matrix_hand_values():
     assert walk_matrix(Graph(1, []), ALPHA_ZERO) == IntMatrix([[1]])
     p3 = Graph(3, [(0, 1), (1, 2)])
     w = walk_matrix(p3, ALPHA_ZERO)
-    assert w.column(0) == (1, 1, 1)
-    assert w.column(1) == (1, 2, 1)
-    assert w.column(2) == (2, 2, 2)
+    assert w.transpose().to_lists() == [[1, 1, 1], [1, 2, 1], [2, 2, 2]]
     assert det_bareiss(w) == 0
     k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
     assert det_bareiss(walk_matrix(k3, ALPHA_HALF)) == 0
-
-
-def test_auxiliary_walk_matrices():
-    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    aux = auxiliary_walk_matrices(p4, ALPHA_ZERO)
-    w = walk_matrix(p4, ALPHA_ZERO)
-    # even order: half takes powers 0..n/2-1, even takes 0,2,..,n-2
-    assert aux.half == IntMatrix.from_columns([w.column(0), w.column(1)])
-    assert aux.half.column(1) == (1, 2, 2, 1)
-    assert aux.even == IntMatrix.from_columns([w.column(0), w.column(2)])
-    assert aux.doubled.column(0) == (2, 2, 2, 2)
-    assert aux.doubled.column(3) == w.column(3)
-    c5 = parse_graph6("DqK")
-    aux5 = auxiliary_walk_matrices(c5, ALPHA_HALF)
-    w5 = walk_matrix(c5, ALPHA_HALF)
-    # odd order: half takes powers 1..(n-1)/2, even takes 2,4,..,n-1
-    assert aux5.half == IntMatrix.from_columns([w5.column(1), w5.column(2)])
-    assert aux5.even == IntMatrix.from_columns([w5.column(2), w5.column(4)])
-    assert aux5.doubled.column(0) == (2,) * 5
-    assert aux5.half.rows == 5 and aux5.half.cols == 2
-    with pytest.raises(ValueError):
-        auxiliary_walk_matrices(Graph(1, []), ALPHA_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +203,7 @@ def test_spectrum_key_hand_value():
 def test_spectrum_key_complement_duality_and_invariance():
     rng = random.Random(405)
     for _ in range(40):
-        g = _random_graph(rng, rng.randint(1, 7))
+        g = random_graph(rng, rng.randint(1, 7))
         alpha = rng.choice(ALPHAS)
         key = spectrum_key(g, alpha)
         flipped = spectrum_key(complement(g), alpha)
@@ -325,7 +293,7 @@ def test_reports_decided_by_rho_are_unchanged(monkeypatch):
     compared = via_ecm = 0
     for alpha in (ALPHA_ZERO, ALPHA_HALF, AlphaParam(3, 4)):
         for _ in range(30):
-            g = _random_graph(rng, rng.randint(10, 22))
+            g = random_graph(rng, rng.randint(10, 22))
             with monkeypatch.context() as m:
                 m.setattr(numtheory, "factorize", reference_factorize)
                 ref = criterion_check(g, alpha, factor_effort=reference_effort)

@@ -6,22 +6,15 @@ import networkx as nx
 import pytest
 
 from walkspec.graphs import (CANONICAL_CAP, ENUMERATION_CAP, Graph,
-                             GraphParseError, are_isomorphic, canonical_form,
-                             complement, degree_vector, encode_graph6,
-                             enumerate_graphs, is_connected, parse_edge_list,
-                             parse_graph6, relabel)
+                             GraphParseError, canonical_form, degree_vector,
+                             encode_graph6, enumerate_graphs, is_connected,
+                             parse_edge_list, parse_graph6)
 
-from conftest import read_fixture
+from conftest import complement, random_graph, read_fixture, relabel
 
 # counts of graphs on n nodes up to isomorphism, and connected ones
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-
-
-def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -32,11 +25,6 @@ def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 def test_graph_normalizes_and_validates():
     g = Graph(4, [(2, 0), (1, 3)])
     assert g.edges == ((0, 2), (1, 3))
-    assert g.edge_count == 2
-    assert g.has_edge(0, 2) and g.has_edge(2, 0)
-    assert not g.has_edge(0, 1)
-    assert g.neighbors(3) == (1,)
-    assert g.degree(0) == 1
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
@@ -94,14 +82,14 @@ def test_parse_accepts_header_and_bytes():
 def test_roundtrip_small_random():
     rng = random.Random(11)
     for _ in range(300):
-        g = _random_graph(rng, rng.randint(1, 12), rng.random())
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
         assert parse_graph6(encode_graph6(g)) == g
 
 
 def test_roundtrip_long_order_form():
     # n >= 63 switches the header to the 3-byte form
     rng = random.Random(5)
-    g = _random_graph(rng, 100, 0.05)
+    g = random_graph(rng, 100, 0.05)
     enc = encode_graph6(g)
     assert enc.startswith("~")
     assert parse_graph6(enc) == g
@@ -110,7 +98,7 @@ def test_roundtrip_long_order_form():
 def test_roundtrip_against_networkx():
     rng = random.Random(23)
     for _ in range(100):
-        g = _random_graph(rng, rng.randint(1, 11), rng.random())
+        g = random_graph(rng, rng.randint(1, 11), rng.random())
         ours = encode_graph6(g)
         nxg = nx.Graph()
         nxg.add_nodes_from(range(g.n))
@@ -186,23 +174,21 @@ def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(37)
     for _ in range(150):
         n = rng.randint(1, 7)
-        g = _random_graph(rng, n, rng.random())
+        g = random_graph(rng, n, rng.random())
         perm = list(range(n))
         rng.shuffle(perm)
         h = relabel(g, perm)
         assert canonical_form(g) == canonical_form(h)
-        assert are_isomorphic(g, h)
 
 
 def test_canonical_form_separates_nonisomorphic():
     p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert canonical_form(p4) != canonical_form(star)
-    assert not are_isomorphic(p4, star)
     # same degree sequence, different graphs: C6 vs 2*K3
     c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     kk = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-    assert not are_isomorphic(c6, kk)
+    assert canonical_form(c6) != canonical_form(kk)
 
 
 def test_canonical_form_agrees_with_networkx_isomorphism():
@@ -210,9 +196,9 @@ def test_canonical_form_agrees_with_networkx_isomorphism():
     pairs = 0
     for _ in range(200):
         n = rng.randint(2, 6)
-        g = _random_graph(rng, n, rng.random())
-        h = _random_graph(rng, n, rng.random())
-        ours = are_isomorphic(g, h)
+        g = random_graph(rng, n, rng.random())
+        h = random_graph(rng, n, rng.random())
+        ours = canonical_form(g) == canonical_form(h)
         nxg = nx.Graph(list(g.edges))
         nxg.add_nodes_from(range(n))
         nxh = nx.Graph(list(h.edges))

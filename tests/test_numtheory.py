@@ -116,7 +116,7 @@ def test_factorize_random_roundtrip():
         x = rng.randint(2, 2 ** 64)
         f = factorize(x)
         assert f.value == x
-        assert f.product() == x
+        assert prod(p**e for p, e in f.factors) == x
         primes = [p for p, _ in f.factors]
         assert primes == sorted(set(primes))
         for p, e in f.factors:

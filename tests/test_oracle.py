@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from conftest import relabel
+from walkspec import oracle
 from walkspec.criterion import (ALPHA_HALF, ALPHA_ZERO, AlphaParam, Verdict,
                                 spectrum_key, walk_matrix)
 from walkspec.graphs import (
@@ -13,14 +15,12 @@ from walkspec.graphs import (
     encode_graph6,
     enumerate_graphs,
     parse_graph6,
-    relabel,
 )
 from walkspec.linalg import IntMatrix, SingularMatrixError, det_bareiss, smith_divisors
 from walkspec.oracle import (
     CertificateError,
     build_U,
     find_mate_classes,
-    plain_cospectral_only_classes,
     verification_to_json,
     verify_theorem,
 )
@@ -110,7 +110,7 @@ def test_grouping_matches_canonicalizing_every_graph(alpha):
     plain = [tuple(g for _, _, g in sorted(grp, key=lambda t: t[0]))
              for _, grp in sorted(by_poly.items())
              if len({key for _, key, _ in grp}) > 1]
-    assert plain_cospectral_only_classes(pool, alpha) == plain
+    assert oracle._plain_only_classes(oracle._keyed_pool(pool, alpha)) == plain
 
 
 def test_find_mate_classes_validation():
@@ -126,7 +126,8 @@ def test_plain_cospectral_only_star_and_cycle():
     at alpha = 0 but not the complement polynomial."""
     star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     cycle_plus = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    groups = plain_cospectral_only_classes(list(enumerate_graphs(5)), ALPHA_ZERO)
+    groups = oracle._plain_only_classes(
+        oracle._keyed_pool(enumerate_graphs(5), ALPHA_ZERO))
     wanted = {canonical_form(star), canonical_form(cycle_plus)}
     assert any(wanted <= {canonical_form(g) for g in grp} for grp in groups)
     # as a full mate class they are separated, so neither counts as a mate

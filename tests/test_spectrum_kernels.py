@@ -19,11 +19,12 @@ from math import comb
 
 import pytest
 
-from conftest import (HARD_ALPHA, reference_alpha_matrix, reference_charpoly,
-                      reference_walk_matrix, reference_walk_moments)
+from conftest import (HARD_ALPHA, complement, reference_alpha_matrix,
+                      reference_charpoly, reference_walk_matrix,
+                      reference_walk_moments)
 from walkspec.criterion import (AlphaParam, _complement_charpoly, alpha_matrix,
                                 spectrum_key, walk_matrix)
-from walkspec.graphs import Graph, complement, enumerate_graphs
+from walkspec.graphs import Graph, enumerate_graphs
 from walkspec.linalg import _MERSENNE_EXPONENTS, IntMatrix, charpoly
 
 ALPHAS = tuple(AlphaParam.parse(t) for t in ("0", "1/2", "2/3", "3/4", "5/6"))
@@ -122,7 +123,7 @@ def test_charpoly_at_the_coefficient_bound():
                 for s in (r, -r):
                     want = tuple(comb(n, k) * (-s) ** (n - k)
                                  for k in range(n + 1))
-                    m = IntMatrix.diagonal([s] * n)
+                    m = IntMatrix.identity(n).scaled(s)
                     assert charpoly(m) == want, (e, n, s)
                     assert reference_charpoly(m) == want
                 # the all-R matrix: x^(n-1) (x - nR)
@@ -133,7 +134,7 @@ def test_charpoly_at_the_coefficient_bound():
     # C(59, 39) 2^39 pass 2^60, while 2 R^n stays below 2^61 - 1
     for s, n in ((1, 64), (-1, 64), (2, 59), (-2, 59)):
         want = tuple(comb(n, k) * (-s) ** (n - k) for k in range(n + 1))
-        assert charpoly(IntMatrix.diagonal([s] * n)) == want, (s, n)
+        assert charpoly(IntMatrix.identity(n).scaled(s)) == want, (s, n)
 
 
 def test_charpoly_matches_reference_on_block_triangular_matrices():

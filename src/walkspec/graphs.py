@@ -1,7 +1,7 @@
 """Simple undirected graphs: construction, graph6 codec, canonical forms, enumeration.
 
-Vertices are 0..n-1. Graphs are immutable; adjacency is kept both as a sorted
-edge tuple and as per-vertex neighbor bitmasks.
+Vertices are 0..n-1. Graphs are immutable; adjacency is stored once, as
+per-vertex neighbor bitmasks, and the edge tuple is derived from them.
 """
 
 from __future__ import annotations
@@ -19,46 +19,46 @@ class GraphParseError(ValueError):
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_rows")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError("vertex count must be positive")
-        seen: set[tuple[int, int]] = set()
+        rows = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        self.n = n
-        self.edges = tuple(sorted(seen))
-        rows = [0] * n
-        for u, v in self.edges:
+            if rows[u] >> v & 1:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+        self.n = n
         self._rows = tuple(rows)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u, v) with u < v, in lexicographic order."""
+        return tuple((u, v) for u, r in enumerate(self._rows)
+                     for v in range(u + 1, self.n) if r >> v & 1)
 
     def adjacency_rows(self) -> list[list[int]]:
         """Dense 0/1 adjacency matrix as row lists."""
         return [[self._rows[i] >> j & 1 for j in range(self.n)] for i in range(self.n)]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
 def degree_vector(g: Graph) -> tuple[int, ...]:
-    return tuple(bin(r).count("1") for r in g._rows)
+    return tuple(r.bit_count() for r in g._rows)
 
 
 def is_connected(g: Graph) -> bool:
@@ -142,24 +142,20 @@ def parse_graph6(text: str | bytes) -> Graph:
             f"expected {nbytes} edge bytes for order {n}, got {have}"
             f" (edge data starts at byte offset {off})"
         )
+    bits = 0  # the inverse of _pack_graph6
+    for byte in data[off:]:
+        bits = bits << 6 | (byte - 63)
+    pad = 6 * nbytes - nbits  # every padding bit lies in the last byte
+    if bits & ((1 << pad) - 1):
+        raise GraphParseError(f"nonzero padding bit at byte offset {off + nbytes - 1}")
     edges = []
-    idx = 0
-    bit_src = data[off:]
-    bits = []
-    for byte in bit_src:
-        group = byte - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            bits.append(group >> shift & 1)
+    t = nbits + pad
     for j in range(1, n):
+        t -= j
+        col = bits >> t & ((1 << j) - 1)  # x(0,j) ... x(j-1,j), first bit highest
         for i in range(j):
-            if bits[idx]:
+            if col >> (j - 1 - i) & 1:
                 edges.append((i, j))
-            idx += 1
-    for t in range(nbits, len(bits)):
-        if bits[t]:
-            raise GraphParseError(
-                f"nonzero padding bit at byte offset {off + t // 6}"
-            )
     return Graph(n, edges)
 
 

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from walkspec.graphs import Graph, degree_vector
+from walkspec.graphs import Graph, GraphParseError, _decode_order, degree_vector
 from walkspec.linalg import IntMatrix, SingularMatrixError, _echelon
 from walkspec import numtheory
 from walkspec.numtheory import (
@@ -564,3 +564,59 @@ def reference_walk_moments(g, alpha) -> list[int]:
     n = g.n
     m = reference_alpha_matrix(g, alpha)
     return [sum(v) for v in _reference_power_columns(m, [1] * n, n - 1)]
+
+
+# The graph6 decoder that unpacked the edge bytes into a list of single bits
+# before they were folded into one integer, kept verbatim (names aside) as
+# the reference that decoder's graphs and errors must match.
+
+
+def reference_parse_graph6(text: str | bytes) -> Graph:
+    """Decode one graph6 line (an optional '>>graph6<<' prefix is accepted)."""
+    if isinstance(text, str):
+        text = text.strip()
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise GraphParseError(
+                f"non-ASCII character {text[exc.start]!r} at offset {exc.start}"
+            ) from None
+    else:
+        data = bytes(text).strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    if not data:
+        raise GraphParseError("empty graph6 input")
+    for off, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise GraphParseError(f"invalid graph6 byte {byte!r} at byte offset {off}")
+    n, off = _decode_order(data)
+    if n < 1:
+        raise GraphParseError("vertex count must be positive")
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    have = len(data) - off
+    if have != nbytes:
+        raise GraphParseError(
+            f"expected {nbytes} edge bytes for order {n}, got {have}"
+            f" (edge data starts at byte offset {off})"
+        )
+    edges = []
+    idx = 0
+    bit_src = data[off:]
+    bits = []
+    for byte in bit_src:
+        group = byte - 63
+        for shift in (5, 4, 3, 2, 1, 0):
+            bits.append(group >> shift & 1)
+    for j in range(1, n):
+        for i in range(j):
+            if bits[idx]:
+                edges.append((i, j))
+            idx += 1
+    for t in range(nbits, len(bits)):
+        if bits[t]:
+            raise GraphParseError(
+                f"nonzero padding bit at byte offset {off + t // 6}"
+            )
+    return Graph(n, edges)

@@ -1,16 +1,18 @@
 """Graph container, graph6 codec, canonical labeling, and enumeration."""
 
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
 
 from walkspec.graphs import (CANONICAL_CAP, ENUMERATION_CAP, Graph,
-                             GraphParseError, canonical_form, degree_vector,
-                             encode_graph6, enumerate_graphs, is_connected,
-                             parse_edge_list, parse_graph6)
+                             GraphParseError, _representatives, canonical_form,
+                             degree_vector, encode_graph6, enumerate_graphs,
+                             is_connected, parse_edge_list, parse_graph6)
 
-from conftest import complement, random_graph, read_fixture, relabel
+from conftest import (complement, random_graph, read_fixture,
+                      reference_parse_graph6, relabel)
 
 # counts of graphs on n nodes up to isomorphism, and connected ones
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -25,14 +27,46 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 def test_graph_normalizes_and_validates():
     g = Graph(4, [(2, 0), (1, 3)])
     assert g.edges == ((0, 2), (1, 3))
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 5)])
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        Graph(-1)
+    assert repr(g) == "Graph(n=4, edges=[(0, 2), (1, 3)])"
+    # the checks run in this order: order, loop, range, duplicate
+    cases = [
+        (-1, [], "vertex count must be positive"),
+        (0, [(0, 0)], "vertex count must be positive"),
+        (3, [(0, 0)], "loop at vertex 0"),
+        (3, [(0, 1), (5, 5)], "loop at vertex 5"),
+        (3, [(0, 5)], "edge (0, 5) out of range for 3 vertices"),
+        (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+        (3, [(1, 0), (0, 1)], "duplicate edge (0, 1)"),
+    ]
+    for n, edges, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == message
+
+
+def test_edges_are_the_sorted_normalized_input():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 20)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.5]
+        rng.shuffle(pairs)
+        g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+        assert g.edges == tuple(sorted(pairs))
+        assert Graph(g.n, g.edges) == g
+
+
+def test_enumerated_pool_holds_one_adjacency_copy():
+    """An order-7 pool costs its neighbor bitmasks, not a second edge copy."""
+    _representatives(7)  # the cached canonical forms are not counted
+    tracemalloc.start()
+    try:
+        pool = list(enumerate_graphs(7))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(pool) == ALL_COUNTS[7]
+    assert held / len(pool) < 400
 
 
 def test_graph_equality_and_hash():
@@ -133,6 +167,47 @@ def test_parse_rejects_nonzero_padding_named_offset():
     with pytest.raises(GraphParseError) as exc:
         parse_graph6("A" + chr(63 + 0b100001))
     assert "padding" in str(exc.value)
+
+
+def _parse_outcome(parse, data):
+    """The graph a decoder returns, or the type and message of its error."""
+    try:
+        return parse(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_matches_reference_on_valid_forms():
+    for n in range(1, 9):
+        for form in _representatives(n):
+            assert parse_graph6(form) == reference_parse_graph6(form), form
+    rng = random.Random(43)
+    for n in [*range(1, 41), 63, 100]:
+        for _ in range(3):
+            enc = encode_graph6(random_graph(rng, n))
+            assert parse_graph6(enc) == reference_parse_graph6(enc), enc
+
+
+def test_parse_matches_reference_on_malformed_input():
+    bad = ["", "~", "~?", "~??", "~???", "~~", "~~?", "~~????", "~~?????",
+           "@?", "A", "A__", "B", "Bww", "not-a-graph\x01", "Dq\u00e9", ">>graph6<<"]
+    for n in (2, 3, 5, 8):
+        nbits = n * (n - 1) // 2
+        pad = -nbits % 6
+        for g in (Graph(n), complement(Graph(n))):
+            enc = encode_graph6(g)
+            bad += [enc[:-1], enc + "?", enc + "~"]
+            last = ord(enc[-1]) - 63
+            bad += [enc[:-1] + chr(63 + (last | pattern))
+                    for pattern in range(1, 1 << pad)]
+    rng = random.Random(47)
+    for n in (40, 63, 100):
+        enc = encode_graph6(random_graph(rng, n))
+        bad += [enc[:-1], enc + "?"]
+    for text in bad:
+        ours = _parse_outcome(parse_graph6, text)
+        assert isinstance(ours, tuple), text
+        assert ours == _parse_outcome(reference_parse_graph6, text), text
 
 
 def test_parse_rejects_non_ascii_text_named_offset():

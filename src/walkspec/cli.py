@@ -112,18 +112,20 @@ def _build_parser() -> _Parser:
     batch = _options()
     batch.add_argument("input", help="graph6 file, one graph per line")
 
-    for name, options, text in (
-        ("check", (fmt, output, effort, graph), "criterion verdict for one graph"),
-        ("batch", (effort, batch), "criterion verdicts for a graph6 file, JSONL"),
-        ("snf", (fmt, output, effort, graph),
+    for name, run, options, text in (
+        ("check", cmd_check, (fmt, output, effort, graph),
+         "criterion verdict for one graph"),
+        ("batch", cmd_batch, (effort, batch),
+         "criterion verdicts for a graph6 file, JSONL"),
+        ("snf", cmd_snf, (fmt, output, effort, graph),
          "Smith divisors of the normalized walk matrix"),
-        ("spectrum", (fmt, output, graph),
+        ("spectrum", cmd_spectrum, (fmt, output, graph),
          "characteristic polynomials of graph and complement"),
-        ("mates", (output, pool), "group graphs by shared spectrum key"),
-        ("verify-theorem", (output, effort, pool),
+        ("mates", cmd_mates, (output, pool), "group graphs by shared spectrum key"),
+        ("verify-theorem", cmd_verify_theorem, (output, effort, pool),
          "exhaustive verdict/mate cross-check with certificates"),
     ):
-        sub.add_parser(name, parents=[alpha, *options], help=text)
+        sub.add_parser(name, parents=[alpha, *options], help=text).set_defaults(run=run)
     return parser
 
 
@@ -275,8 +277,8 @@ def cmd_snf(ns: argparse.Namespace) -> int:
         b = divisors[-1] // 2
         out["B"] = str(b)
         try:
-            free, witness = numtheory.is_square_free(b, effort=ns.effort)
-            out["B_square_free"] = free
+            witness = numtheory.factorize(b, effort=ns.effort).square_witness
+            out["B_square_free"] = witness is None
             if witness is not None:
                 out["B_square_witness"] = str(witness)
         except numtheory.FactorizationBudgetError:
@@ -344,21 +346,11 @@ def cmd_verify_theorem(ns: argparse.Namespace) -> int:
     return EXIT_CERTIFIED if report.ok else EXIT_FAILED
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "batch": cmd_batch,
-    "snf": cmd_snf,
-    "spectrum": cmd_spectrum,
-    "mates": cmd_mates,
-    "verify-theorem": cmd_verify_theorem,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         _config(ns)
-        return _COMMANDS[ns.command](ns)
+        return ns.run(ns)
     except SystemExit as exc:  # argparse printed help and exited
         return exc.code
     except (UsageError, GraphParseError, PoolError, OSError) as exc:

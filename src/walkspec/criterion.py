@@ -70,7 +70,7 @@ class AlphaParam:
         """Ascending odd primes dividing the denominator, factored on first
         use and kept. When the factorization runs out of effort, this raises
         FactorizationBudgetError and keeps nothing."""
-        return tuple(numtheory.odd_prime_divisors(self.den))
+        return tuple(p for p, _ in numtheory.factorize(self.den).factors if p != 2)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"

@@ -1,7 +1,8 @@
 """Simple undirected graphs: construction, graph6 codec, canonical forms, enumeration.
 
 Vertices are 0..n-1. Graphs are immutable; adjacency is stored once, as
-per-vertex neighbor bitmasks, and the edge tuple is derived from them.
+per-vertex neighbor bitmasks, and the edge tuple is derived from them. The
+graph6 decoder reads the order header and the edge bytes as bit strings.
 """
 
 from __future__ import annotations
@@ -89,27 +90,21 @@ def is_connected(g: Graph) -> bool:
 # zero-padded to a byte boundary. Every byte is offset by 63.
 
 
+# each graph6 byte's 6-bit group as a bit string, indexed by the byte; bytes
+# below 63 are rejected before any lookup
+_BITS = ("",) * 63 + tuple(format(k, "06b") for k in range(64))
+
+
 def _decode_order(data: bytes) -> tuple[int, int]:
     """Return (n, offset of first edge byte)."""
     if data[0] != 126:
         return data[0] - 63, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise GraphParseError(
-                f"extended order header truncated at byte offset {len(data)}"
-            )
-        n = 0
-        for k in range(2, 8):
-            n = n << 6 | (data[k] - 63)
-        return n, 8
-    if len(data) < 4:
+    start, end = (2, 8) if data[1:2] == b"~" else (1, 4)
+    if len(data) < end:
         raise GraphParseError(
             f"extended order header truncated at byte offset {len(data)}"
         )
-    n = 0
-    for k in range(1, 4):
-        n = n << 6 | (data[k] - 63)
-    return n, 4
+    return int("".join(map(_BITS.__getitem__, data[start:end])), 2), end
 
 
 def parse_graph6(text: str | bytes) -> Graph:
@@ -142,20 +137,11 @@ def parse_graph6(text: str | bytes) -> Graph:
             f"expected {nbytes} edge bytes for order {n}, got {have}"
             f" (edge data starts at byte offset {off})"
         )
-    bits = 0  # the inverse of _pack_graph6
-    for byte in data[off:]:
-        bits = bits << 6 | (byte - 63)
-    pad = 6 * nbytes - nbits  # every padding bit lies in the last byte
-    if bits & ((1 << pad) - 1):
+    bits = "".join(map(_BITS.__getitem__, data[off:]))
+    if "1" in bits[nbits:]:  # every padding bit lies in the last byte
         raise GraphParseError(f"nonzero padding bit at byte offset {off + nbytes - 1}")
-    edges = []
-    t = nbits + pad
-    for j in range(1, n):
-        t -= j
-        col = bits >> t & ((1 << j) - 1)  # x(0,j) ... x(j-1,j), first bit highest
-        for i in range(j):
-            if col >> (j - 1 - i) & 1:
-                edges.append((i, j))
+    walk = iter(bits)  # x(0,1), x(0,2), x(1,2), x(0,3), ...
+    edges = [(i, j) for j in range(1, n) for i in range(j) if next(walk) == "1"]
     return Graph(n, edges)
 
 

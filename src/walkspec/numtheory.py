@@ -1,4 +1,5 @@
-"""Primality, factorization, and square-free testing for arbitrary-size integers.
+"""Primality and factorization for arbitrary-size integers. Square-freeness
+is read off a factorization, as its square_witness.
 
 `factorize` runs three methods in turn: trial division by the primes to
 10^6, Brent's rho on at most RHO_SHARE effort units, and Lenstra's
@@ -88,10 +89,6 @@ def _sieve() -> tuple[list[int], list[int]]:
     primes = list(compress(range(TRIAL_LIMIT + 1), flags))
     del flags  # 1 MB: free it before building the products, so both never peak together
     return primes, [prod(primes[i:i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
-
-
-def _sieve_primes() -> list[int]:
-    return _sieve()[0]
 
 
 def _mr_witness(x: int, a: int, d: int, r: int) -> bool:
@@ -197,7 +194,7 @@ class _EcmPlan:
 
 @lru_cache(maxsize=None)
 def _ecm_plan(b1: int, b2: int) -> _EcmPlan:
-    primes = _sieve_primes()
+    primes = _sieve()[0]
     k = 1
     for p in primes:
         if p > b1:
@@ -411,17 +408,3 @@ def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
                     pending.append(f)
     return Factorization(x, tuple(sorted(counts.items())))
 
-
-def is_square_free(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> tuple[bool, int | None]:
-    """(True, None) when no prime divides x twice; else (False, smallest such prime).
-
-    1 is square-free."""
-    witness = factorize(x, effort=effort).square_witness
-    return witness is None, witness
-
-
-def odd_prime_divisors(c: int) -> list[int]:
-    """Ascending odd primes dividing c."""
-    if c < 1:
-        raise ValueError("argument must be positive")
-    return [p for p, _ in factorize(c).factors if p != 2]

@@ -15,13 +15,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
 from . import numtheory
-from .criterion import (AlphaParam, CriterionReport, SpectrumKey, Verdict,
-                        alpha_matrix, criterion_check, spectrum_key,
-                        walk_matrix)
+from .criterion import (AlphaParam, SpectrumKey, Verdict, alpha_matrix,
+                        criterion_check, spectrum_key, walk_matrix)
 from .graphs import CANONICAL_CAP, Graph, canonical_form, encode_graph6
 from .linalg import IntMatrix, smith_divisors, solve_fraction_free
 
@@ -166,9 +166,20 @@ class PairCheck:
 
     certificate: OrthogonalCertificate
     last_divisor: int  # last Smith divisor of the source's normalized walk matrix
-    level_divides_last_divisor: bool
     source_arithmetic_ok: bool
-    no_odd_prime_in_level: bool | None  # None when the arithmetic criterion fails
+
+    @property
+    def level_divides_last_divisor(self) -> bool:
+        return self.last_divisor % self.certificate.level == 0
+
+    @property
+    def no_odd_prime_in_level(self) -> bool | None:
+        """None when the source fails the arithmetic criterion."""
+        if not self.source_arithmetic_ok:
+            return None
+        # level >= 1 has no odd prime factor iff it is a power of two
+        level = self.certificate.level
+        return level & (level - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -179,12 +190,19 @@ class VerificationReport:
     graph_count: int
     classes: tuple[MateClass, ...]
     verdicts: tuple[tuple[str, Verdict], ...]  # (graph6, verdict) per member
-    certified: tuple[str, ...]
-    nontrivial_classes: tuple[int, ...]  # indices into classes
     pair_checks: tuple[PairCheck, ...]
     skipped_singular_pairs: int
     plain_only_groups: tuple[tuple[str, ...], ...]
     counterexamples: tuple[str, ...]
+
+    @property
+    def certified(self) -> tuple[str, ...]:
+        return tuple(g6 for g6, v in self.verdicts if v == Verdict.CERTIFIED_DGAS)
+
+    @property
+    def nontrivial_classes(self) -> tuple[int, ...]:
+        """Indices into classes."""
+        return tuple(i for i, cls in enumerate(self.classes) if cls.nontrivial)
 
     @property
     def ok(self) -> bool:
@@ -201,65 +219,44 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
     classes = tuple(_mate_classes(keyed))
     verdicts: list[tuple[str, Verdict]] = []
     counterexamples: list[str] = []
-    certified: list[str] = []
-    nontrivial: list[int] = []
     pair_checks: list[PairCheck] = []
     skipped = 0
-    for idx, cls in enumerate(classes):
-        size = len(cls.members)
-        if size > 1:
-            nontrivial.append(idx)
-        reports: list[CriterionReport] = []
-        for g in cls.members:
-            g6 = encode_graph6(g)
-            # the report's W serves all of the member's pairs
-            rep = criterion_check(g, alpha, factor_effort=factor_effort)
-            reports.append(rep)
+    for cls in classes:
+        names = [encode_graph6(g) for g in cls.members]
+        # the report's W serves all of the member's pairs
+        reports = [criterion_check(g, alpha, factor_effort=factor_effort)
+                   for g in cls.members]
+        for g6, rep in zip(names, reports):
             verdicts.append((g6, rep.verdict))
-            if rep.verdict == Verdict.CERTIFIED_DGAS:
-                certified.append(g6)
-                if size > 1:
-                    others = [encode_graph6(h) for h in cls.members if h is not g]
-                    counterexamples.append(
-                        f"certified graph {g6} shares its spectrum key with "
-                        f"{', '.join(others)}")
-        if size > 1:
-            # class membership already proves equal keys
-            for i in range(size):
-                for j in range(i + 1, size):
-                    if reports[i].det_walk == 0 or reports[j].det_walk == 0:
-                        skipped += 1
-                        continue
-                    cert = _certificate(cls.members[i], cls.members[j],
-                                        reports[i].walk, reports[j].walk, alpha)
-                    last = smith_divisors(reports[i].walk)[-1]
-                    divides = last % cert.level == 0
-                    if not divides:
-                        counterexamples.append(
-                            f"level {cert.level} of pair {cert.source} -> "
-                            f"{cert.target} does not divide the last Smith "
-                            f"divisor {last}")
-                    src_ok = reports[i].arithmetic_ok
-                    no_odd: bool | None = None
-                    if src_ok:
-                        # level >= 1 has no odd prime factor iff it is a power of two
-                        no_odd = cert.level & (cert.level - 1) == 0
-                        if not no_odd:
-                            counterexamples.append(
-                                f"odd prime divides level {cert.level} of pair "
-                                f"{cert.source} -> {cert.target} though the "
-                                f"source passes the arithmetic criterion")
-                    pair_checks.append(PairCheck(
-                        certificate=cert, last_divisor=last,
-                        level_divides_last_divisor=divides,
-                        source_arithmetic_ok=src_ok,
-                        no_odd_prime_in_level=no_odd))
+            if rep.verdict == Verdict.CERTIFIED_DGAS and cls.nontrivial:
+                others = [h6 for h6 in names if h6 != g6]
+                counterexamples.append(
+                    f"certified graph {g6} shares its spectrum key with "
+                    f"{', '.join(others)}")
+        # class membership already proves equal keys
+        for (g, rg), (h, rh) in combinations(zip(cls.members, reports), 2):
+            if rg.det_walk == 0 or rh.det_walk == 0:
+                skipped += 1
+                continue
+            pc = PairCheck(_certificate(g, h, rg.walk, rh.walk, alpha),
+                           smith_divisors(rg.walk)[-1], rg.arithmetic_ok)
+            cert = pc.certificate
+            if not pc.level_divides_last_divisor:
+                counterexamples.append(
+                    f"level {cert.level} of pair {cert.source} -> "
+                    f"{cert.target} does not divide the last Smith "
+                    f"divisor {pc.last_divisor}")
+            if pc.no_odd_prime_in_level is False:
+                counterexamples.append(
+                    f"odd prime divides level {cert.level} of pair "
+                    f"{cert.source} -> {cert.target} though the "
+                    f"source passes the arithmetic criterion")
+            pair_checks.append(pc)
     plain = tuple(tuple(encode_graph6(g) for g in grp)
                   for grp in _plain_only_classes(keyed))
     return VerificationReport(
         alpha=alpha, graph_count=len(pool), classes=classes,
-        verdicts=tuple(verdicts), certified=tuple(certified),
-        nontrivial_classes=tuple(nontrivial), pair_checks=tuple(pair_checks),
+        verdicts=tuple(verdicts), pair_checks=tuple(pair_checks),
         skipped_singular_pairs=skipped, plain_only_groups=plain,
         counterexamples=tuple(counterexamples))
 

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from walkspec.graphs import Graph, GraphParseError, _decode_order, degree_vector
+from walkspec.graphs import Graph, GraphParseError, degree_vector
 from walkspec.linalg import IntMatrix, SingularMatrixError, _echelon
 from walkspec import numtheory
 from walkspec.numtheory import (
@@ -15,7 +15,7 @@ from walkspec.numtheory import (
     _SEED_SALT,
     Factorization,
     FactorizationBudgetError,
-    _sieve_primes,
+    _sieve,
     is_probable_prime,
 )
 
@@ -467,7 +467,7 @@ def reference_factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Facto
         return Factorization(1, ())
     counts: dict[int, int] = {}
     rem = x
-    for p in _sieve_primes():
+    for p in _sieve()[0]:
         if p * p > rem:
             break
         while rem % p == 0:
@@ -568,7 +568,32 @@ def reference_walk_moments(g, alpha) -> list[int]:
 
 # The graph6 decoder that unpacked the edge bytes into a list of single bits
 # before they were folded into one integer, kept verbatim (names aside) as
-# the reference that decoder's graphs and errors must match.
+# the reference that decoder's graphs and errors must match, and the order
+# header decoder with one loop per header length that it called, kept
+# verbatim (name aside) as the reference for the one-path header decoder.
+
+
+def reference_decode_order(data: bytes) -> tuple[int, int]:
+    """Return (n, offset of first edge byte)."""
+    if data[0] != 126:
+        return data[0] - 63, 1
+    if len(data) >= 2 and data[1] == 126:
+        if len(data) < 8:
+            raise GraphParseError(
+                f"extended order header truncated at byte offset {len(data)}"
+            )
+        n = 0
+        for k in range(2, 8):
+            n = n << 6 | (data[k] - 63)
+        return n, 8
+    if len(data) < 4:
+        raise GraphParseError(
+            f"extended order header truncated at byte offset {len(data)}"
+        )
+    n = 0
+    for k in range(1, 4):
+        n = n << 6 | (data[k] - 63)
+    return n, 4
 
 
 def reference_parse_graph6(text: str | bytes) -> Graph:
@@ -590,7 +615,7 @@ def reference_parse_graph6(text: str | bytes) -> Graph:
     for off, byte in enumerate(data):
         if not 63 <= byte <= 126:
             raise GraphParseError(f"invalid graph6 byte {byte!r} at byte offset {off}")
-    n, off = _decode_order(data)
+    n, off = reference_decode_order(data)
     if n < 1:
         raise GraphParseError("vertex count must be positive")
     nbits = n * (n - 1) // 2

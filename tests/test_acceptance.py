@@ -176,7 +176,7 @@ def test_acceptance_5_certified_structure(fixture_graphs, theorem_reports):
         last = div[-1]
         shape_ok = (div == (1,) * ones + (2,) * twos + (last,)
                     and last % 2 == 0 and (last // 2) % 2 == 1)
-        b_free, _ = numtheory.is_square_free(last // 2)
+        b_free = numtheory.factorize(last // 2).square_witness is None
         half, even = _half_and_even(g, alpha)
         half_ok = rank_mod_p(half, 2) == n // 2
         cross = w.transpose() @ even
@@ -350,7 +350,7 @@ def _corollary_verdict(g, alpha):
     reduced = Fraction(det, 2 ** (n // 2))
     if reduced.denominator != 1 or int(reduced) % 2 == 0:
         return Verdict.FAILS_ARITHMETIC
-    free, _ = numtheory.is_square_free(abs(int(reduced)))
+    free = numtheory.factorize(abs(int(reduced))).square_witness is None
     return Verdict.CERTIFIED_DGAS if free else Verdict.FAILS_ARITHMETIC
 
 

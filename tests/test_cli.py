@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, HARD_ALPHA, read_fixture
+from conftest import FIXTURES, HARD_ALPHA, random_graph, read_fixture
 from walkspec import numtheory
 from walkspec.cli import EXIT_CERTIFIED, EXIT_FAILED, EXIT_LIMITED, EXIT_USAGE, main
 from walkspec.graphs import Graph, encode_graph6
@@ -135,6 +135,32 @@ def test_snf_certified_fixture(capsys):
     assert payload["B"] == "15159314689915531251382751245165"
     assert payload["B_square_free"] is True
     assert "B_square_witness" not in payload
+
+
+def test_snf_and_check_read_square_freeness_alike(capsys):
+    """Where the Smith shape holds, B = |det W| / 2^floor(n/2), so snf's
+    verdict on B and check's on the reduced determinant are one fact, read
+    by both commands from the same factorization. The effort stays below
+    rho's share, so ECM never runs and a B that rho cannot split is
+    undecided on both sides."""
+    rng = random.Random(19)
+    seen = set()
+    for n in range(5, 17):
+        for _ in range(6):
+            g6 = encode_graph6(random_graph(rng, n))
+            for alpha in ("0", "1/2", "2/3", "3/4"):
+                argv = ("--alpha", alpha, "--output", "json", "--effort", "16384",
+                        "--graph", g6)
+                snf = json.loads(_run(capsys, "snf", *argv)[1])
+                if not snf["shape_holds"]:
+                    continue
+                seen.add(snf["B_square_free"])
+                check = json.loads(_run(capsys, "check", *argv)[1])
+                case = (g6, alpha)
+                assert snf["B"] == check["reduced"].lstrip("-"), case
+                assert snf["B_square_free"] is check["is_square_free"], case
+                assert snf.get("B_square_witness") == check["square_witness"], case
+    assert seen == {True, False, None}  # each outcome was compared
 
 
 def test_snf_singular_graph(capsys):

@@ -73,10 +73,14 @@ def test_alpha_param_validation():
 
 
 def test_alpha_odd_primes():
-    expected = {1: (), 2: (), 12: (3,), 45: (3, 5), 66: (3, 11), 70: (5, 7)}
+    expected = {1: (), 2: (), 8: (), 12: (3,), 45: (3, 5), 66: (3, 11), 70: (5, 7)}
     for c, primes in expected.items():
         alpha = ALPHA_ZERO if c == 1 else AlphaParam(1, c)
-        assert alpha.odd_primes == tuple(numtheory.odd_prime_divisors(c)) == primes
+        assert alpha.odd_primes == primes
+    # a denominator is positive; factorize refuses the rest
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            numtheory.factorize(bad)
 
 
 def test_alpha_odd_primes_leave_equality_and_hash_alone():

@@ -7,12 +7,13 @@ import networkx as nx
 import pytest
 
 from walkspec.graphs import (CANONICAL_CAP, ENUMERATION_CAP, Graph,
-                             GraphParseError, _representatives, canonical_form,
-                             degree_vector, encode_graph6, enumerate_graphs,
-                             is_connected, parse_edge_list, parse_graph6)
+                             GraphParseError, _decode_order, _encode_order,
+                             _representatives, canonical_form, degree_vector,
+                             encode_graph6, enumerate_graphs, is_connected,
+                             parse_edge_list, parse_graph6)
 
 from conftest import (complement, random_graph, read_fixture,
-                      reference_parse_graph6, relabel)
+                      reference_decode_order, reference_parse_graph6, relabel)
 
 # counts of graphs on n nodes up to isomorphism, and connected ones
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -182,10 +183,22 @@ def test_parse_matches_reference_on_valid_forms():
         for form in _representatives(n):
             assert parse_graph6(form) == reference_parse_graph6(form), form
     rng = random.Random(43)
-    for n in [*range(1, 41), 63, 100]:
+    for n in [*range(1, 41), 63, 100, 300]:
         for _ in range(3):
             enc = encode_graph6(random_graph(rng, n))
             assert parse_graph6(enc) == reference_parse_graph6(enc), enc
+
+
+def test_decode_order_matches_reference_on_every_header_length():
+    """The one-path order decoder against the one-loop-per-length reference,
+    at both ends of the one-byte, '~' and '~~' headers, and on every
+    truncation of each multi-byte header."""
+    for n in (1, 62, 63, 64, 4095, 258047, 258048, 2 ** 36 - 1):
+        head = _encode_order(n)
+        assert _decode_order(head) == reference_decode_order(head) == (n, len(head))
+        for k in range(1, len(head)):
+            outcome = _parse_outcome(_decode_order, head[:k])
+            assert outcome == _parse_outcome(reference_decode_order, head[:k]), head[:k]
 
 
 def test_parse_matches_reference_on_malformed_input():

@@ -12,8 +12,6 @@ from walkspec.numtheory import (
     FactorizationBudgetError,
     factorize,
     is_probable_prime,
-    is_square_free,
-    odd_prime_divisors,
 )
 
 SIEVE_LIMIT = 1_000_000
@@ -219,7 +217,6 @@ def test_sieve_primes_and_block_products():
     """The trial-division tables: every prime to 10^6, and block products
     that cover each of them exactly once, in order."""
     primes, products = numtheory._sieve()
-    assert numtheory._sieve_primes() is primes
     assert primes == [p for p in range(SIEVE_LIMIT + 1) if SIEVE[p]]
     assert len(primes) == 78_498 and primes[-1] == 999_983
     assert _tree_product(products) == _tree_product(primes)
@@ -249,7 +246,7 @@ def test_block_trial_division_matches_per_prime_reference(monkeypatch):
     effort within rho's share, and rho is handed the same cofactors, also
     where the blocks stop early at a prime cofactor."""
     rng = random.Random(306)
-    primes = numtheory._sieve_primes()
+    primes = numtheory._sieve()[0]
     block = numtheory._BLOCK
     big = [_prime_between(rng, 10 ** 12, 10 ** 14) for _ in range(4)]
     semiprimes = [_prime_between(rng, 10 ** 6, 10 ** 8) * _prime_between(rng, 10 ** 6, 10 ** 8)
@@ -303,22 +300,22 @@ def test_block_trial_division_matches_per_prime_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# square-free part and odd prime divisors
+# square-free witness
 # ---------------------------------------------------------------------------
 
 
 def test_is_square_free_known():
-    assert is_square_free(1) == (True, None)
-    assert is_square_free(2) == (True, None)
-    assert is_square_free(30) == (True, None)
-    assert is_square_free(10403) == (True, None)  # 101 * 103
-    assert is_square_free(4) == (False, 2)
-    assert is_square_free(12) == (False, 2)
-    assert is_square_free(18) == (False, 3)
-    assert is_square_free(75) == (False, 5)
-    assert is_square_free(294) == (False, 7)
+    assert factorize(1).square_witness is None
+    assert factorize(2).square_witness is None
+    assert factorize(30).square_witness is None
+    assert factorize(10403).square_witness is None  # 101 * 103
+    assert factorize(4).square_witness == 2
+    assert factorize(12).square_witness == 2
+    assert factorize(18).square_witness == 3
+    assert factorize(75).square_witness == 5
+    assert factorize(294).square_witness == 7
     p = 10 ** 9 + 7
-    assert is_square_free(p * p) == (False, p)
+    assert factorize(p * p).square_witness == p
     # the smallest of the primes that appear squared
     assert factorize(3 ** 2 * 5 * 7 ** 3 * p ** 2).square_witness == 3
     assert factorize(2 * 3 * 5).square_witness is None
@@ -329,18 +326,5 @@ def test_is_square_free_matches_naive_factorization():
     for _ in range(200):
         x = rng.randint(1, 100000)
         squared = [p for p, e in _factor_naive(x) if e >= 2]
-        expect = (False, min(squared)) if squared else (True, None)
-        assert is_square_free(x) == expect, x
-
-
-def test_odd_prime_divisors():
-    assert odd_prime_divisors(1) == []
-    assert odd_prime_divisors(2) == []
-    assert odd_prime_divisors(8) == []
-    assert odd_prime_divisors(12) == [3]
-    assert odd_prime_divisors(45) == [3, 5]
-    assert odd_prime_divisors(66) == [3, 11]
-    assert odd_prime_divisors(70) == [5, 7]
-    for bad in (0, -3):
-        with pytest.raises(ValueError):
-            odd_prime_divisors(bad)
+        expect = min(squared) if squared else None
+        assert factorize(x).square_witness == expect, x

@@ -77,10 +77,6 @@ def test_alpha_odd_primes():
     for c, primes in expected.items():
         alpha = ALPHA_ZERO if c == 1 else AlphaParam(1, c)
         assert alpha.odd_primes == primes
-    # a denominator is positive; factorize refuses the rest
-    for bad in (0, -3):
-        with pytest.raises(ValueError):
-            numtheory.factorize(bad)
 
 
 def test_alpha_odd_primes_leave_equality_and_hash_alone():

@@ -300,7 +300,7 @@ def test_block_trial_division_matches_per_prime_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# square-free witness
+# square-free witness and odd prime divisors
 # ---------------------------------------------------------------------------
 
 
@@ -328,3 +328,14 @@ def test_is_square_free_matches_naive_factorization():
         squared = [p for p, e in _factor_naive(x) if e >= 2]
         expect = min(squared) if squared else None
         assert factorize(x).square_witness == expect, x
+
+
+def test_odd_prime_divisors():
+    """The odd primes of c, as AlphaParam.odd_primes reads them off
+    factorize; a denominator is positive, and factorize refuses the rest."""
+    expected = {1: [], 2: [], 8: [], 12: [3], 45: [3, 5], 66: [3, 11], 70: [5, 7]}
+    for c, primes in expected.items():
+        assert [p for p, _ in factorize(c).factors if p != 2] == primes, c
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            factorize(bad)

@@ -7,6 +7,7 @@ graph6 decoder reads the order header and the edge bytes as bit strings.
 
 from __future__ import annotations
 
+from base64 import b64encode
 from typing import Iterable, Iterator, Sequence
 
 CANONICAL_CAP = 10  # canonical labeling search bound
@@ -155,22 +156,28 @@ def _encode_order(n: int) -> bytes:
     raise ValueError("order too large for graph6")
 
 
+# base64 cuts bytes into the same 6-bit groups, MSB first; only the alphabet
+# differs, so its digits 0..63 are translated into the bytes 63..126
+_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
+
+
 def _pack_graph6(n: int, bits: int) -> bytes:
     """graph6 of order n whose n(n-1)/2 edge bits, first bit most
     significant, are the integer bits."""
     nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    bits <<= pad
-    return _encode_order(n) + bytes(
-        [(bits >> s & 63) + 63 for s in range(nbits + pad - 6, -1, -6)])
+    groups = (nbits + 5) // 6
+    size = (groups + 3) // 4 * 3  # whole base64 blocks of 3 bytes
+    data = (bits << (8 * size - nbits)).to_bytes(size, "big")
+    return _encode_order(n) + b64encode(data)[:groups].translate(_FROM_BASE64)
 
 
 def encode_graph6(g: Graph) -> str:
-    bits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            bits = bits << 1 | (g._rows[i] >> j & 1)
-    return _pack_graph6(g.n, bits).decode("ascii")
+    rows = g._rows
+    bits = "".join("1" if rows[i] >> j & 1 else "0"
+                   for j in range(1, g.n) for i in range(j))
+    return _pack_graph6(g.n, int(bits or "0", 2)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

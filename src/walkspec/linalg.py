@@ -12,11 +12,9 @@ modulus bounds the Smith elimination. A row-only diagonalization of
 residues gives the Smith divisors modulo that minor, sorted into a chain
 by a gcd/lcm sweep, and, modulo a prime, the rank as its pivot count.
 
-The characteristic polynomial comes from a Hessenberg reduction by
-similarity modulo a Mersenne prime P. Every eigenvalue is at most the
-largest absolute row sum R in absolute value, so every coefficient is at
-most (1 + R)^n; with P above twice that, the residues in (-P/2, P/2] are
-the integer coefficients themselves, and the result is exact.
+The characteristic polynomial comes from Berkowitz's recurrence, which
+builds it block by block from products and sums alone, so it needs no
+division, modulus or coefficient bound.
 """
 
 from __future__ import annotations
@@ -180,94 +178,31 @@ def solve_fraction_free(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
     return det, IntMatrix(x)
 
 
-# Exponents e of the Mersenne primes 2^e - 1 from 61 on, every one proven
-# prime (OEIS A000043), so no primality test runs and nothing is computed at
-# import.
-_MERSENNE_EXPONENTS = (
-    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
-    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
-    756839, 859433, 1257787, 1398269, 2976221, 3021377, 6972593, 13466917,
-    20996011, 24036583, 25964951, 30402457, 32582657, 37156667, 42643801,
-    43112609, 57885161, 74207281, 77232917, 82589933, 136279841,
-)
-
-
 def charpoly(m: IntMatrix) -> tuple[int, ...]:
-    """Coefficients (c0, ..., cn) of det(xI - m), cn = 1, exactly, from one
-    Hessenberg reduction modulo a prime P above twice a coefficient bound.
+    """Coefficients (c0, ..., cn) of det(xI - m), cn = 1, exactly, by
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984).
 
-    With R the largest absolute row sum, every eigenvalue has |l| <= R, so
-    |c_(n-k)| = |e_k(l_1, ..., l_n)| <= C(n, k) R^k <= (1 + R)^n = B. P is
-    the smallest tabulated Mersenne prime 2^e - 1 above 2B, so each
-    coefficient is the one residue mod P in (-P/2, P/2].
+    Let p be the coefficients of the leading r x r block A's polynomial,
+    highest degree first, and let the next block be [[A, C], [R, d]]. Its
+    polynomial is the lower-triangular Toeplitz matrix with first column
+    (1, -d, -RC, -RAC, ..., -RA^(r-1)C) times p. Only products and sums of
+    integers occur, so no step rounds or reduces.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
-    r = max((sum(map(abs, row)) for row in m._data), default=0)
-    bits = ((1 + r) ** m.rows).bit_length()
-    # 2^e - 1 > 2B exactly when e exceeds the bit length of B
-    e = next((e for e in _MERSENNE_EXPONENTS if e > bits), None)
-    if e is None:
-        raise ValueError(f"a {bits}-bit coefficient bound exceeds every "
-                         "tabulated Mersenne prime")
-    p = (1 << e) - 1
-    half = p >> 1
-    coeffs = _charpoly_mod([[x % p for x in row] for row in m._data], p)
-    return tuple(c - p if c > half else c for c in coeffs)
-
-
-def _charpoly_mod(a: list[list[int]], p: int) -> list[int]:
-    """Coefficients (c0, ..., cn) of det(xI - a) mod the prime p, in [0, p);
-    the residue rows `a` are reduced in place (Cohen, A Course in
-    Computational Algebraic Number Theory, 1993, Alg. 2.2.9).
-
-    Similarity mod p brings `a` to upper Hessenberg form H, column by column:
-    a pivot below the subdiagonal is swapped onto it (rows and columns
-    alike), the rows below it are cleared, and the inverse row operations
-    are applied to the pivot's column; a column with no pivot is already
-    reduced. Then p_0 = 1 and
-    p_k = (x - h_kk) p_(k-1) - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) p_(i-1),
-    1-indexed, and p_n is the characteristic polynomial.
-    """
-    n = len(a)
-    for k in range(1, n - 1):
-        j = k - 1
-        piv = next((i for i in range(k, n) if a[i][j]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-        top = a[k][j:]
-        inv = pow(top[0], -1, p)
-        mults = []
-        for i in range(k + 1, n):
-            row = a[i]
-            u = row[j] * inv % p
-            if u:
-                row[j:] = [(x - u * y) % p for x, y in zip(row[j:], top)]
-                mults.append((i, u))
-        if mults:
-            for row in a:
-                row[k] = (row[k] + sum(u * row[i] for i, u in mults)) % p
-    polys = [[1]]
-    for k in range(n):
-        prev = polys[k]
-        h = a[k][k]
-        nxt = [-h * c for c in prev] + [0]
-        for i, c in enumerate(prev):
-            nxt[i + 1] += c
-        t = 1
-        for i in range(k - 1, -1, -1):
-            t = t * a[i + 1][i] % p
-            if not t:
-                break
-            f = t * a[i][k] % p
-            for d, c in enumerate(polys[i]):
-                nxt[d] -= f * c
-        polys.append([c % p for c in nxt])
-    return polys[n]
+    rows = m._data
+    p = [1]
+    for r, row in enumerate(rows):
+        # C and then A^k C hold r entries, so each map stops at column r
+        block = rows[:r]
+        col = [x[r] for x in block]
+        t = [1, -row[r]]
+        for k in range(r):
+            if k:
+                col = [sum(map(mul, x, col)) for x in block]
+            t.append(-sum(map(mul, row, col)))
+        p = [sum(map(mul, t[i::-1], p)) for i in range(r + 2)]
+    return tuple(reversed(p))
 
 
 # ---------------------------------------------------------------------------

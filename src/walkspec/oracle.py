@@ -130,12 +130,15 @@ def build_U(g: Graph, h: Graph, alpha: AlphaParam) -> OrthogonalCertificate:
         raise ValueError("graphs must have the same order")
     if spectrum_key(g, alpha) != spectrum_key(h, alpha):
         raise ValueError("graphs do not share a spectrum key")
-    return _certificate(g, h, walk_matrix(g, alpha), walk_matrix(h, alpha), alpha)
+    return _certificate(g, h, walk_matrix(g, alpha), walk_matrix(h, alpha),
+                        alpha, encode_graph6(g), encode_graph6(h))
 
 
 def _certificate(g: Graph, h: Graph, wg: IntMatrix, wh: IntMatrix,
-                 alpha: AlphaParam) -> OrthogonalCertificate:
-    """build_U past its guards, given the normalized walk matrices.
+                 alpha: AlphaParam, source: str, target: str
+                 ) -> OrthogonalCertificate:
+    """build_U past its guards, given the normalized walk matrices and the
+    graph6 names of g and h.
 
     The raw walk matrix is the normalized one times diag(1, c, ..., c), which
     cancels from U^T W(g) = W(h); so W(g)^T U = W(h)^T, and the fraction-free
@@ -156,8 +159,7 @@ def _certificate(g: Graph, h: Graph, wg: IntMatrix, wh: IntMatrix,
         raise CertificateError("certificate does not fix the all-ones vector")
     if ut @ alpha_matrix(g, alpha) @ u != alpha_matrix(h, alpha).scaled(lev * lev):
         raise CertificateError("certificate does not conjugate the scaled matrices")
-    return OrthogonalCertificate(
-        matrix=u, level=lev, source=encode_graph6(g), target=encode_graph6(h))
+    return OrthogonalCertificate(matrix=u, level=lev, source=source, target=target)
 
 
 @dataclass(frozen=True)
@@ -234,11 +236,12 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
                     f"certified graph {g6} shares its spectrum key with "
                     f"{', '.join(others)}")
         # class membership already proves equal keys
-        for (g, rg), (h, rh) in combinations(zip(cls.members, reports), 2):
+        for (g, g6, rg), (h, h6, rh) in combinations(
+                zip(cls.members, names, reports), 2):
             if rg.det_walk == 0 or rh.det_walk == 0:
                 skipped += 1
                 continue
-            pc = PairCheck(_certificate(g, h, rg.walk, rh.walk, alpha),
+            pc = PairCheck(_certificate(g, h, rg.walk, rh.walk, alpha, g6, h6),
                            smith_divisors(rg.walk)[-1], rg.arithmetic_ok)
             cert = pc.certificate
             if not pc.level_divides_last_divisor:
@@ -267,12 +270,14 @@ def verification_to_json(report: VerificationReport) -> dict:
     def poly(p: Sequence[int]) -> list[str]:
         return [str(c) for c in p]
 
+    # the verdicts name every class member once, class by class
+    names = (g6 for g6, _ in report.verdicts)
     classes = []
     for cls in report.classes:
         classes.append({
             "poly": poly(cls.key.poly),
             "poly_complement": poly(cls.key.poly_complement),
-            "members": [encode_graph6(g) for g in cls.members],
+            "members": [next(names) for _ in cls.members],
         })
     pairs = []
     for pc in report.pair_checks:

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from walkspec.graphs import Graph, GraphParseError, degree_vector
+from walkspec.graphs import Graph, GraphParseError, _encode_order, degree_vector
 from walkspec.linalg import IntMatrix, SingularMatrixError, _echelon
 from walkspec import numtheory
 from walkspec.numtheory import (
@@ -488,8 +488,9 @@ def reference_factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Facto
 
 
 # The bigint trace recursion that computed every characteristic polynomial
-# before the Hessenberg reduction modulo a Mersenne prime replaced it, kept
-# verbatim (names aside) as the reference that kernel's results must match.
+# before a Hessenberg reduction modulo a Mersenne prime, and then Berkowitz's
+# recurrence, replaced it, kept verbatim (names aside) as the reference that
+# the kernel's results must match.
 
 
 def reference_charpoly(m: IntMatrix) -> tuple[int, ...]:
@@ -645,3 +646,27 @@ def reference_parse_graph6(text: str | bytes) -> Graph:
                 f"nonzero padding bit at byte offset {off + t // 6}"
             )
     return Graph(n, edges)
+
+
+# The graph6 encoder that folded its edge bits into an integer one bit at a
+# time, and the packer that cut that integer into bytes one shift at a time,
+# before base64 did the packing, kept verbatim (names aside) as the
+# references that encoder's and packer's bytes must match.
+
+
+def reference_pack_graph6(n: int, bits: int) -> bytes:
+    """graph6 of order n whose n(n-1)/2 edge bits, first bit most
+    significant, are the integer bits."""
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits <<= pad
+    return _encode_order(n) + bytes(
+        [(bits >> s & 63) + 63 for s in range(nbits + pad - 6, -1, -6)])
+
+
+def reference_encode_graph6(g: Graph) -> str:
+    bits = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            bits = bits << 1 | (g._rows[i] >> j & 1)
+    return reference_pack_graph6(g.n, bits).decode("ascii")

@@ -199,17 +199,21 @@ def test_snf_fixture_output_bytes_are_pinned(capsys, fixture, alpha, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-# sha256 of stdout, recorded from the bigint trace recursion before the
-# Hessenberg reduction modulo a Mersenne prime replaced it; the inline
-# graphs are G(32, 1/2) from random.Random(3201) and G(36, 1/2) from
-# random.Random(3601), edges drawn in the order j = 1..n-1, i = 0..j-1
+# sha256 of stdout, recorded from the bigint trace recursion before a
+# Hessenberg reduction modulo a Mersenne prime replaced it, and at
+# c = 10^52 + 1 from that reduction before Berkowitz's recurrence replaced
+# it; the inline graphs are G(32, 1/2) from random.Random(3201) and
+# G(36, 1/2) from random.Random(3601), edges drawn in the order
+# j = 1..n-1, i = 0..j-1
 @pytest.mark.parametrize("alpha, graph, sha256", [
     ("3/4", None, "2c97dc7848faebfcd34c9ae05cae4b4355e87318d858af0c242a8c30f87710d2"),
+    ("1/10000000000000000000000000000000000000000000000000001", None,
+     "6173e96a833f06fbd652a1ca24d6913c8d4492a5b39e57c5c2eefc7048bf4edd"),
     ("1/2", "_WPiYRul~hlhlNvy[XhAnh]zqXpjJmRfWaK_Rduib]xjR}\\sTAtptWp^pNI?^HFpwXcVHDBOGpxwGLfnBxAg",
      "07a688fd80f6d3ef2bba2c191665f86da1db88843245fe45c0523c6831e5d9fb"),
     ("2/3", "ck^A[SNYTp\\F^ZBQ{[RDCgiOfqEiV@Fhga_d\\PBo]c|yCOlzVAzDiuF{H]kn][^AzRS?uTms?jrIHFh^eBk?vj`GQOmB`JME]lYSwFNHQk",
      "278a4d0a4e11ae153d99564f7015841880083f7b53b161853037cb85610ecfc4"),
-], ids=["singular40", "order32", "order36"])
+], ids=["singular40", "singular40-big-c", "order32", "order36"])
 def test_spectrum_output_bytes_are_pinned(capsys, alpha, graph, sha256):
     source = (str(FIXTURES / "singular40.g6"),) if graph is None else ("--graph", graph)
     code, out, _ = _run(capsys, "spectrum", "--alpha", alpha, "--output", "json",

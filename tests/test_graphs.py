@@ -8,12 +8,13 @@ import pytest
 
 from walkspec.graphs import (CANONICAL_CAP, ENUMERATION_CAP, Graph,
                              GraphParseError, _decode_order, _encode_order,
-                             _representatives, canonical_form, degree_vector,
-                             encode_graph6, enumerate_graphs, is_connected,
-                             parse_edge_list, parse_graph6)
+                             _pack_graph6, _representatives, canonical_form,
+                             degree_vector, encode_graph6, enumerate_graphs,
+                             is_connected, parse_edge_list, parse_graph6)
 
 from conftest import (complement, random_graph, read_fixture,
-                      reference_decode_order, reference_parse_graph6, relabel)
+                      reference_decode_order, reference_encode_graph6,
+                      reference_pack_graph6, reference_parse_graph6, relabel)
 
 # counts of graphs on n nodes up to isomorphism, and connected ones
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -187,6 +188,25 @@ def test_parse_matches_reference_on_valid_forms():
         for _ in range(3):
             enc = encode_graph6(random_graph(rng, n))
             assert parse_graph6(enc) == reference_parse_graph6(enc), enc
+
+
+def test_encode_matches_reference():
+    """The base64 packer and the string-built edge integer against the
+    bit-loop encoder and byte-by-byte packer they replaced: on every
+    canonical form of order <= 8, which the packer itself produced, and on
+    seeded graphs and edge-bit integers across the one-byte and '~' order
+    headers."""
+    for n in range(1, 9):
+        for form in _representatives(n):
+            g = parse_graph6(form)
+            assert encode_graph6(g) == reference_encode_graph6(g) == form.decode(), form
+    rng = random.Random(44)
+    for n in [*range(1, 41), 62, 63, 64, 100, 300]:
+        g = random_graph(rng, n)
+        assert encode_graph6(g) == reference_encode_graph6(g), n
+        nbits = n * (n - 1) // 2
+        for bits in (0, (1 << nbits) - 1, rng.getrandbits(nbits)):
+            assert _pack_graph6(n, bits) == reference_pack_graph6(n, bits), (n, bits)
 
 
 def test_decode_order_matches_reference_on_every_header_length():

@@ -267,10 +267,12 @@ def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
     # keys come from one pass over the pool, canonical forms only for the
     # graphs that share a key or a plain-only polynomial, and each graph's
     # walk matrix is built once, for its verdict and, in a mate pair, for
-    # its certificate and Smith divisors
+    # its certificate and Smith divisors; each graph is encoded once, for
+    # its verdict, and the certificate and JSON reuse that name
     import walkspec.criterion as criterion
     import walkspec.oracle as oracle
-    calls = {"spectrum_key": 0, "canonical_form": 0, "walk_matrix": 0}
+    calls = {"spectrum_key": 0, "canonical_form": 0, "walk_matrix": 0,
+             "encode_graph6": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -287,6 +289,7 @@ def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
     pool = [parse_graph6(src), parse_graph6(dst), parse_graph6("G?????"),
             parse_graph6("G~~~~{")]
     report = verify_theorem(pool, alpha)
+    payload = verification_to_json(report)
     assert report.ok
     assert len(report.pair_checks) == 1
     assert len(report.verdicts) == len(pool)
@@ -294,7 +297,10 @@ def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
     # complete graphs are alone with theirs
     assert calls == {"spectrum_key": len(pool),
                      "canonical_form": 2,
-                     "walk_matrix": len(report.verdicts)}
+                     "walk_matrix": len(report.verdicts),
+                     "encode_graph6": len(pool)}
+    assert [cls["members"] for cls in payload["classes"]] == \
+        [[encode_graph6(g) for g in cls.members] for cls in report.classes]
 
 
 def test_verification_json_shape():

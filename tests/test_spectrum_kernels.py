@@ -1,13 +1,13 @@
 """Differential checks of the spectrum-key kernels against slower references.
 
-`linalg.charpoly` reduces the matrix to Hessenberg form by similarity modulo
-a Mersenne prime P above 2(1 + R)^n, R the largest absolute row sum, and
-lifts each residue to (-P/2, P/2]. Every eigenvalue has |l| <= R, so every
-coefficient is at most (1 + R)^n in absolute value and the lift is exact.
-It is checked against the bigint trace recursion it replaced, including at
-the edge of that bound, where a smaller prime would wrap a coefficient. The
-derived complement polynomial is checked against the characteristic
-polynomial of the complement's scaled matrix.
+`linalg.charpoly` runs Berkowitz's division-free recurrence over the
+integers. It is checked against the bigint trace recursion on every small
+graph, on seeded matrices with small and huge entries, on scaled identity
+and all-R matrices with coefficients near 2^607, and on block-triangular
+matrices. Where that recursion is too slow, scaling checks it: charpoly(kM)
+has the coefficients c_j k^(n-j) of charpoly(M). The derived complement
+polynomial is checked against the characteristic polynomial of the
+complement's scaled matrix.
 
 The walk matrix, the scaled matrix and the spectrum key's walk moments come
 from power columns built straight from each graph's neighbor rows; they are
@@ -19,13 +19,13 @@ from math import comb
 
 import pytest
 
-from conftest import (HARD_ALPHA, complement, reference_alpha_matrix,
-                      reference_charpoly, reference_walk_matrix,
-                      reference_walk_moments)
+from conftest import (HARD_ALPHA, complement, random_graph,
+                      reference_alpha_matrix, reference_charpoly,
+                      reference_walk_matrix, reference_walk_moments)
 from walkspec.criterion import (AlphaParam, _complement_charpoly, alpha_matrix,
                                 spectrum_key, walk_matrix)
 from walkspec.graphs import Graph, enumerate_graphs
-from walkspec.linalg import _MERSENNE_EXPONENTS, IntMatrix, charpoly
+from walkspec.linalg import IntMatrix, charpoly
 
 ALPHAS = tuple(AlphaParam.parse(t) for t in ("0", "1/2", "2/3", "3/4", "5/6"))
 
@@ -54,20 +54,6 @@ def _iroot(x: int, k: int) -> int:
 def _bound_bits(m: IntMatrix) -> int:
     r = max((sum(map(abs, row)) for row in m.to_lists()), default=0)
     return ((1 + r) ** m.rows).bit_length()
-
-
-def test_mersenne_exponents_give_primes():
-    # Lucas-Lehmer: 2^e - 1 (e odd prime) is prime iff s_(e-2) = 0, where
-    # s_0 = 4 and s_(i+1) = s_i^2 - 2 mod 2^e - 1
-    assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
-    for e in _MERSENNE_EXPONENTS:
-        if e > 4423:
-            break
-        p = (1 << e) - 1
-        s = 4
-        for _ in range(e - 2):
-            s = (s * s - 2) % p
-        assert s == 0, e
 
 
 @pytest.mark.parametrize("alpha", ALPHAS[:4] + (BIG_C_ALPHA,), ids=str)
@@ -113,10 +99,10 @@ def test_charpoly_matches_reference_on_symmetric_matrices():
 
 
 def test_charpoly_at_the_coefficient_bound():
-    # R*I has (x - R)^n, coefficients C(n, k) (-R)^k; with R just below
-    # the root of a Mersenne prime, |(-R)^n| passes half of it, so a prime
-    # picked against R^n, or against (1 + R)^n without the factor 2, wraps
-    for e in _MERSENNE_EXPONENTS[:6]:
+    # R*I has (x - R)^n, coefficients C(n, k) (-R)^k; with R at the n-th
+    # root of 2^e - 2, |(-R)^n| passes half of the prime 2^e - 1, so a
+    # recurrence modulo that prime, lifted to (-P/2, P/2], would wrap
+    for e in (61, 89, 107, 127, 521, 607):
         for n in (1, 2, 3, 5, 8):
             root = _iroot((1 << e) - 2, n)
             for r in (root - 1, root, root + 1):
@@ -131,7 +117,7 @@ def test_charpoly_at_the_coefficient_bound():
                 want = (0,) * (n - 1) + (-n * r, 1)
                 assert charpoly(m) == reference_charpoly(m) == want, (e, n, r)
     # for small R the middle coefficients outgrow R^n: C(64, 32) and
-    # C(59, 39) 2^39 pass 2^60, while 2 R^n stays below 2^61 - 1
+    # C(59, 39) 2^39 pass 2^60, while R^n stays below it
     for s, n in ((1, 64), (-1, 64), (2, 59), (-2, 59)):
         want = tuple(comb(n, k) * (-s) ** (n - k) for k in range(n + 1))
         assert charpoly(IntMatrix.identity(n).scaled(s)) == want, (s, n)
@@ -139,7 +125,8 @@ def test_charpoly_at_the_coefficient_bound():
 
 def test_charpoly_matches_reference_on_block_triangular_matrices():
     # below a diagonal block's last column the rest of that column is zero,
-    # so the Hessenberg reduction finds no pivot there and skips it
+    # and in the transpose the rest of that row, so a leading block's C or
+    # R is zero and its Toeplitz column is (1, -d, 0, ..., 0)
     rng = random.Random(3035)
     for _ in range(60):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
@@ -170,9 +157,20 @@ def test_charpoly_smallest_orders():
         a, b, c, d = (rng.randint(-10 ** 20, 10 ** 20) for _ in range(4))
         m = IntMatrix([[a, b], [c, d]])
         assert charpoly(m) == (a * d - b * c, -(a + d), 1)
-    # a bound past the largest tabulated Mersenne prime is refused up front
-    with pytest.raises(ValueError, match="exceeds every tabulated"):
-        charpoly(IntMatrix([[1 << _MERSENNE_EXPONENTS[-1]]]))
+    # no modulus caps the entries: a 136,279,842-bit entry is exact too
+    big = 1 << 136279841
+    assert charpoly(IntMatrix([[big]])) == (-big, 1)
+
+
+def test_charpoly_of_scaled_matrices_with_huge_entries():
+    # det(xI - kM) = k^n det((x/k)I - M), so charpoly(kM) has c_j k^(n-j);
+    # with k = 10^52 + 1 the trace recursion is too slow to compare with
+    rng = random.Random(3038)
+    k = 10 ** 52 + 1
+    for n, alpha in zip((24, 32, 40), ALPHAS[1:]):
+        m = alpha_matrix(random_graph(rng, n), alpha)
+        want = tuple(c * k ** (n - j) for j, c in enumerate(charpoly(m)))
+        assert charpoly(m.scaled(k)) == want, (n, alpha)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS, ids=str)

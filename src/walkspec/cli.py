@@ -208,7 +208,9 @@ def _load_pool(ns: argparse.Namespace) -> list[Graph]:
 
 def _emit(obj: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(obj, indent=2))
+        # streamed chunk by chunk: the whole text is never held at once
+        json.dump(obj, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
         for key, val in obj.items():
             if isinstance(val, list):
@@ -303,46 +305,45 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 def cmd_mates(ns: argparse.Namespace) -> int:
     pool = _load_pool(ns)
     classes = find_mate_classes(pool, ns.alpha)
-    payload = {
-        "schema": 1,
-        "alpha": str(ns.alpha),
-        "graph_count": len(pool),
-        "class_count": len(classes),
-        "nontrivial_count": sum(1 for c in classes if c.nontrivial),
-        "classes": [{
-            "members": [encode_graph6(g) for g in c.members],
-            "poly": [str(x) for x in c.key.poly],
-            "poly_complement": [str(x) for x in c.key.poly_complement],
-        } for c in classes if c.nontrivial],
-    }
+    nontrivial = [c for c in classes if c.nontrivial]
     if ns.output == "table":
-        print(f"graphs: {payload['graph_count']}")
-        print(f"classes: {payload['class_count']}")
-        print(f"nontrivial: {payload['nontrivial_count']}")
-        for c in payload["classes"]:
-            print("mates: " + " ".join(c["members"]))
+        print(f"graphs: {len(pool)}")
+        print(f"classes: {len(classes)}")
+        print(f"nontrivial: {len(nontrivial)}")
+        for c in nontrivial:
+            print("mates: " + " ".join(encode_graph6(g) for g in c.members))
     else:
-        print(json.dumps(payload, indent=2))
+        _emit({
+            "schema": 1,
+            "alpha": str(ns.alpha),
+            "graph_count": len(pool),
+            "class_count": len(classes),
+            "nontrivial_count": len(nontrivial),
+            "classes": [{
+                "members": [encode_graph6(g) for g in c.members],
+                "poly": [str(x) for x in c.key.poly],
+                "poly_complement": [str(x) for x in c.key.poly_complement],
+            } for c in nontrivial],
+        }, ns.output)
     return EXIT_CERTIFIED
 
 
 def cmd_verify_theorem(ns: argparse.Namespace) -> int:
     pool = _load_pool(ns)
     report = verify_theorem(pool, ns.alpha, factor_effort=ns.effort)
-    payload = verification_to_json(report)
     if ns.output == "table":
-        print(f"graphs: {payload['graph_count']}")
-        print(f"classes: {payload['class_count']}")
-        print(f"certified: {len(payload['certified'])}")
-        print(f"nontrivial: {len(payload['nontrivial_classes'])}")
-        print(f"pair_checks: {len(payload['pair_checks'])}")
-        print(f"skipped_singular_pairs: {payload['skipped_singular_pairs']}")
-        print(f"counterexamples: {len(payload['counterexamples'])}")
-        for c in payload["counterexamples"]:
+        print(f"graphs: {report.graph_count}")
+        print(f"classes: {len(report.classes)}")
+        print(f"certified: {len(report.certified)}")
+        print(f"nontrivial: {len(report.nontrivial_classes)}")
+        print(f"pair_checks: {len(report.pair_checks)}")
+        print(f"skipped_singular_pairs: {report.skipped_singular_pairs}")
+        print(f"counterexamples: {len(report.counterexamples)}")
+        for c in report.counterexamples:
             print("counterexample: " + c)
-        print(f"ok: {str(payload['ok']).lower()}")
+        print(f"ok: {str(report.ok).lower()}")
     else:
-        print(json.dumps(payload, indent=2))
+        _emit(verification_to_json(report), ns.output)
     return EXIT_CERTIFIED if report.ok else EXIT_FAILED
 
 

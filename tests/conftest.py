@@ -1,7 +1,8 @@
 import pathlib
 import random
-from itertools import combinations
-from math import gcd, prod
+from functools import lru_cache
+from itertools import combinations, compress
+from math import gcd, isqrt, prod
 from operator import mul
 
 import pytest
@@ -12,6 +13,7 @@ from walkspec import numtheory
 from walkspec.numtheory import (
     DEFAULT_FACTOR_EFFORT,
     TRIAL_LIMIT,
+    _BLOCK,
     _SEED_SALT,
     Factorization,
     FactorizationBudgetError,
@@ -409,6 +411,26 @@ def reference_rank_mod_p(m: IntMatrix, p: int) -> int:
         if rank == rows:
             break
     return rank
+
+
+# The sieve that flagged every integer to TRIAL_LIMIT and kept its primes in a
+# list of ints, before the odd-only sieve and the 4-byte array, kept verbatim
+# (name aside) as the reference the trial-division tables must equal.
+
+
+@lru_cache(maxsize=None)
+def reference_sieve() -> tuple[list[int], list[int]]:
+    """The primes to TRIAL_LIMIT, and the product of each run of _BLOCK of
+    them (the last run may be shorter): block i covers primes[i * _BLOCK:
+    (i + 1) * _BLOCK]."""
+    flags = bytearray([1]) * (TRIAL_LIMIT + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(TRIAL_LIMIT) + 1):
+        if flags[p]:
+            flags[p * p:: p] = bytearray(len(flags[p * p:: p]))
+    primes = list(compress(range(TRIAL_LIMIT + 1), flags))
+    del flags  # 1 MB: free it before building the products, so both never peak together
+    return primes, [prod(primes[i:i + _BLOCK]) for i in range(0, len(primes), _BLOCK)]
 
 
 # The trial-division + Brent rho factorization that ran before ECM was added,

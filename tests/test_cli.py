@@ -4,13 +4,16 @@ import hashlib
 import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import FIXTURES, HARD_ALPHA, random_graph, read_fixture
-from walkspec import numtheory
+from walkspec import cli, numtheory
 from walkspec.cli import EXIT_CERTIFIED, EXIT_FAILED, EXIT_LIMITED, EXIT_USAGE, main
-from walkspec.graphs import Graph, encode_graph6
+from walkspec.criterion import AlphaParam, criterion_check, report_to_json
+from walkspec.graphs import Graph, encode_graph6, enumerate_graphs, parse_graph6
+from walkspec.oracle import verification_to_json, verify_theorem
 
 G13 = read_fixture("dgas13.g6").strip()
 G14 = read_fixture("dgas14.g6").strip()
@@ -289,6 +292,65 @@ def test_order_7_output_bytes_are_pinned(capsys, argv, sha256):
     code, out, _ = _run(capsys, *argv)
     assert code == EXIT_CERTIFIED
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+MATES8 = str(FIXTURES.parent / "perfbench" / "data" / "mates8_alpha_1-2.g6")
+
+
+# sha256 of stdout, recorded while the table was still read off the JSON
+# payload of polynomial strings
+@pytest.mark.parametrize("argv, sha256", [
+    (("verify-theorem", "--n", "7", "--alpha", "1/2"),
+     "991b48e23e4ffe36f20267fa845cb87a999e1a7ef13c40868dd2cfeb76758612"),
+    (("verify-theorem", "--alpha", "1/2", MATES8),
+     "4e07db4375ac6e0bddb15bb5530d815427914c4b784372346c53eb0a5ecad600"),
+    (("mates", "--n", "7", "--alpha", "0"),
+     "c88fa10e46f0403ac8d97bbc404bd0283670b39b97a06e5121afd38870026901"),
+], ids=["verify-theorem", "verify-theorem-mates8", "mates"])
+def test_table_output_bytes_are_pinned(capsys, argv, sha256):
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_CERTIFIED
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_table_output_builds_no_json_payload(capsys, monkeypatch, tmp_path):
+    """The table paths print counts and members off the report and the
+    classes; neither builds nor serializes a JSON payload."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("table output built a JSON payload")
+
+    monkeypatch.setattr(cli, "verification_to_json", refuse)
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dump=refuse, dumps=refuse))
+    path = tmp_path / "pair.g6"
+    path.write_text("G@QZt{\nG@U`}{\n")
+    code, out, _ = _run(capsys, "verify-theorem", "--alpha", "0", str(path))
+    assert code == EXIT_CERTIFIED
+    assert out.splitlines() == [
+        "graphs: 2", "classes: 1", "certified: 0", "nontrivial: 1",
+        "pair_checks: 1", "skipped_singular_pairs: 0", "counterexamples: 0",
+        "ok: true"]
+    code, out, _ = _run(capsys, "mates", "--alpha", "0", str(path))
+    assert code == EXIT_CERTIFIED
+    assert out.splitlines() == ["graphs: 2", "classes: 1", "nontrivial: 1",
+                                "mates: G@QZt{ G@U`}{"]
+
+
+def test_json_output_is_the_indented_payload(capsys, tmp_path):
+    """Streamed JSON has the bytes of the payload dumped as one string."""
+    alpha = AlphaParam.parse("1/2")
+    _, out, _ = _run(capsys, "verify-theorem", "--alpha", "1/2", "--n", "5",
+                     "--output", "json")
+    report = verify_theorem(enumerate_graphs(5), alpha)
+    assert out == json.dumps(verification_to_json(report), indent=2) + "\n"
+    _, out, _ = _run(capsys, "check", "--alpha", "1/2", "--output", "json",
+                     "--graph", G13)
+    report = criterion_check(parse_graph6(G13), alpha)
+    assert out == json.dumps(report_to_json(report), indent=2) + "\n"
+    path = tmp_path / "pair.g6"
+    path.write_text("G@QZt{\nG@U`}{\n")
+    _, out, _ = _run(capsys, "mates", "--alpha", "0", "--output", "json",
+                     str(path))
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # orders 5-11, one malformed line; every verdict but the excluded ones shows

@@ -1,11 +1,12 @@
 """Primality, factorization, and square-free tests against a sieve oracle."""
 
 import random
+import tracemalloc
 from math import prod
 
 import pytest
 
-from conftest import reference_factorize
+from conftest import reference_factorize, reference_sieve
 from walkspec import numtheory
 from walkspec.numtheory import (
     RHO_SHARE,
@@ -217,13 +218,37 @@ def test_sieve_primes_and_block_products():
     """The trial-division tables: every prime to 10^6, and block products
     that cover each of them exactly once, in order."""
     primes, products = numtheory._sieve()
-    assert primes == [p for p in range(SIEVE_LIMIT + 1) if SIEVE[p]]
+    assert list(primes) == [p for p in range(SIEVE_LIMIT + 1) if SIEVE[p]]
     assert len(primes) == 78_498 and primes[-1] == 999_983
     assert _tree_product(products) == _tree_product(primes)
     block = numtheory._BLOCK
     assert len(products) == -(-len(primes) // block)
     for i, b in enumerate(products):
         assert b == prod(primes[i * block:(i + 1) * block]), i
+
+
+def test_sieve_matches_list_reference():
+    """The odd-only sieve's array and block products equal the tables of the
+    list-based sieve it replaced."""
+    primes, products = numtheory._sieve()
+    ref_primes, ref_products = reference_sieve()
+    assert primes.itemsize == 4
+    assert list(primes) == ref_primes
+    assert products == ref_products
+
+
+def test_sieve_tables_are_small():
+    """The built tables hold a sixth of what they held with the primes in
+    a list of ints (3.4 MB)."""
+    numtheory._sieve.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = numtheory._sieve()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tables[0]) == 78_498
+    assert held < 600_000
 
 
 def _prime_between(rng, lo, hi):

@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from typing import Iterator
 
 from . import numtheory
 from .criterion import (AlphaParam, Verdict, criterion_check, report_to_json,
@@ -174,6 +176,20 @@ def _read_text(path: str) -> str:
             f"offset {exc.start}") from None
 
 
+# the line boundaries of str.splitlines
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines(), one at a time, without the list."""
+    start = 0
+    for end in _LINE_END.finditer(text):
+        yield text[start:end.start()]
+        start = end.end()
+    if start < len(text):
+        yield text[start:]
+
+
 def _load_graph(ns: argparse.Namespace) -> Graph:
     if ns.inline is not None:
         if ns.input is not None:
@@ -185,10 +201,10 @@ def _load_graph(ns: argparse.Namespace) -> Graph:
         raise UsageError("no input: give a file path, '-', or --graph")
     text = _read_text(ns.input)
     if ns.fmt == "graph6":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        line = next((ln for ln in _lines(text) if ln.strip()), None)
+        if line is None:
             raise GraphParseError("no graph6 line in input")
-        return parse_graph6(lines[0])
+        return parse_graph6(line)
     return parse_edge_list(text)
 
 
@@ -203,7 +219,7 @@ def _load_pool(ns: argparse.Namespace) -> list[Graph]:
     if ns.connected_only:
         raise UsageError("--connected-only restricts --n, not an input file")
     text = _read_text(ns.input)
-    return [parse_graph6(ln) for ln in text.splitlines() if ln.strip()]
+    return [parse_graph6(ln) for ln in _lines(text) if ln.strip()]
 
 
 def _emit(obj: dict, output: str) -> None:
@@ -234,7 +250,7 @@ def cmd_batch(ns: argparse.Namespace) -> int:
     text = _read_text(ns.input)
     counts: dict[str, int] = {}
     total = errors = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_lines(text), 1):
         if not line.strip():
             continue
         total += 1

@@ -22,7 +22,16 @@ Effort is counted in rho units: one unit is one step charged by the rho walk.
 An ECM curve is charged before it runs, at _ECM_UNITS_PER_MUL units per
 modular multiplication. That rate was measured so that an ECM unit takes no
 more time than a rho unit on the same modulus, so a call that spends its
-whole effort takes no longer than rho alone would.
+whole effort on one CPU takes no longer than rho alone would. Effort counts
+units of work, not wall time: the same effort decides the same inputs on
+any machine and at any worker count.
+
+ECM runs the curves of one composite on k processes, k being the CPUs this
+process may run on (1 where os.fork is missing or another thread is alive).
+This process runs curves 0, k, 2k, ...; forked children run the others and
+send back each gcd through a pipe. The results are merged in curve order,
+charging and counting each curve as serial ECM would, so every factor,
+charge and budget error is the same at every k. No child outlives the call.
 
 Deterministic given the input: the rho walk, the ECM curves and the
 large-input primality rounds are seeded from the number being processed,
@@ -31,14 +40,16 @@ never from global state, so concurrent or repeated runs always agree.
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd, isqrt, prod
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 TRIAL_LIMIT = 10**6
 # effort units (rho steps; see the module docstring) before giving up
@@ -326,27 +337,116 @@ def _ecm_curve(m: int, sigma: int, plan: _EcmPlan) -> int:
     return gcd(acc, m)
 
 
-def _ecm_schedule() -> Iterator[tuple[int, int]]:
-    """(B1, B2) of each curve in turn."""
-    for b1, b2, curves in _ECM_STAGES:
-        yield from repeat((b1, b2)) if curves is None else repeat((b1, b2), curves)
-
-
-def _ecm(m: int, budget: list[int], schedule: Iterator[tuple[int, int]]) -> int:
-    """Nontrivial divisor of odd composite m by Lenstra's elliptic-curve
-    method, taking each curve's bounds from schedule and seeding its
-    parameter from m. Charges a curve's units to budget[0] before running
-    it; raises when they are not left."""
+def _ecm_curves(m: int, budget: int, done: int) -> Iterator[tuple[_EcmPlan, int]]:
+    """(plan, sigma) of each curve that budget effort units pay for, in
+    curve order: the plans follow _ECM_STAGES from curve number done on, and
+    each sigma is the next draw of a generator seeded from m. Every ECM
+    worker enumerates this same sequence."""
     rng = random.Random(m ^ _SEED_SALT)
-    while True:
-        plan = _ecm_plan(*next(schedule))
-        if budget[0] < plan.units:
-            raise FactorizationBudgetError(
-                f"effort cap hit while splitting a {len(str(m))}-digit composite")
-        budget[0] -= plan.units
-        g = _ecm_curve(m, rng.randrange(6, m - 1), plan)
-        if 1 < g < m:
-            return g
+    stages = chain.from_iterable(repeat((b1, b2)) if curves is None else repeat((b1, b2), curves)
+                                 for b1, b2, curves in _ECM_STAGES)
+    for b1, b2 in islice(stages, done, None):
+        plan = _ecm_plan(b1, b2)
+        if budget < plan.units:
+            return
+        budget -= plan.units
+        yield plan, rng.randrange(6, m - 1)
+
+
+def _ecm_workers() -> int:
+    """Processes to run ECM curves on: one per CPU this process may run on,
+    or 1 where os.fork or os.sched_getaffinity is missing or another thread
+    is alive, since a forked child keeps only the forking thread, and a lock
+    another thread held stays taken in it."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _ecm_child(m: int, curves: Iterator[tuple[_EcmPlan, int]], out: int,
+               inherited: list[int]) -> NoReturn:
+    """Body of a forked ECM worker: writes the gcd of each of its curves to
+    fd out, one decimal line each, and stops after a proper divisor, which
+    ends the parent's search. It first closes the read ends of every pipe,
+    so a write fails once the parent is gone, and it leaves only by
+    os._exit, so it never flushes the buffers or runs the clean-up it
+    copied from its parent."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        for plan, sigma in curves:
+            g = _ecm_curve(m, sigma, plan)
+            os.write(out, b"%d\n" % g)
+            if 1 < g < m:
+                break
+    finally:
+        os._exit(0)
+
+
+def _stop_workers(pids: list[int], readers: list[BinaryIO]) -> None:
+    """Kill and reap every ECM worker, and close the pipes they wrote to."""
+    import signal  # here, not at the top: it adds 1.5 ms to every start-up
+
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    for reader in readers:
+        reader.close()
+    pids.clear()
+    readers.clear()
+
+
+def _ecm(m: int, budget: list[int], done: list[int]) -> int:
+    """Nontrivial divisor of odd composite m by Lenstra's elliptic-curve
+    method, over the curves of _ecm_curves(m, budget[0], done[0]).
+
+    Curve t runs in worker t mod k, k from _ecm_workers() but no more than
+    the curves paid for. Worker 0 is this process; the others are forked
+    children that send each gcd back through a pipe. The results are taken
+    in curve order: each curve's units are charged to budget[0] and the
+    curve counted in done[0] before the next result is read, and the first
+    proper divisor is returned, so the divisor, the charge and the budget
+    error are those of running every curve here, whatever k is. No child
+    outlives the call. Raises FactorizationBudgetError when the budget pays
+    for no further curve, and RuntimeError when a child stops early."""
+    curves = _ecm_curves(m, budget[0], done[0])
+    k = len(list(islice(_ecm_curves(m, budget[0], done[0]), _ecm_workers())))
+    pids: list[int] = []
+    readers: list[BinaryIO] = []
+    try:
+        try:
+            for i in range(1, k):
+                r, w = os.pipe()
+                readers.append(os.fdopen(r, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _ecm_child(m, islice(curves, i, None, k), w,
+                                   [reader.fileno() for reader in readers])
+                    pids.append(pid)
+                finally:
+                    os.close(w)
+        except OSError:
+            # no process or pipe to spare: every curve runs here
+            _stop_workers(pids, readers)
+            k = 1
+        for t, (plan, sigma) in enumerate(curves):
+            if t % k == 0:
+                g = _ecm_curve(m, sigma, plan)
+            else:
+                line = readers[t % k - 1].readline()
+                if not line:
+                    raise RuntimeError(f"ECM worker {t % k} stopped before curve {done[0]}")
+                g = int(line)
+            budget[0] -= plan.units
+            done[0] += 1
+            if 1 < g < m:
+                return g
+        raise FactorizationBudgetError(
+            f"effort cap hit while splitting a {len(str(m))}-digit composite")
+    finally:
+        _stop_workers(pids, readers)
 
 
 def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
@@ -392,24 +492,24 @@ def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
     elif rem > 1:
         share = min(effort, RHO_SHARE)
         budget = [share]
-        schedule = None  # ECM's, once rho has spent its share
+        done = None  # ECM's curve count, once rho has spent its share
         pending = [rem]  # known composites, so no cofactor is tested twice
         while pending:
             mcand = pending.pop()
-            if schedule is None:
+            if done is None:
                 try:
                     d = _brent_rho(mcand, budget)
                 except FactorizationBudgetError:
                     budget[0] += effort - share
                     if budget[0] < 0:
                         raise
-                    schedule = _ecm_schedule()
-            if schedule is not None:
+                    done = [0]
+            if done is not None:
                 # ECM needs as long for p in p^2 as for any factor of p's
                 # size; a square root splits it at once
                 d = isqrt(mcand)
                 if d * d != mcand:
-                    d = _ecm(mcand, budget, schedule)
+                    d = _ecm(mcand, budget, done)
             for f in (d, mcand // d):
                 if f <= TRIAL_LIMIT or is_probable_prime(f):
                     counts[f] = counts.get(f, 0) + 1

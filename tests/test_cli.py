@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -115,6 +116,64 @@ def test_batch_mixed_file(capsys, tmp_path):
     assert summary["verdicts"] == {"CERTIFIED_DGAS": 1,
                                    "SINGULAR_WALK_MATRIX": 1,
                                    "SMALL_ORDER": 1}
+
+
+def test_batch_numbers_lines_as_splitlines_does(capsys, monkeypatch):
+    """Differential: every line boundary of str.splitlines, vertical tab,
+    form feed and the separators 0x1c-0x1e among them, gives the record
+    the line number that text.splitlines() gives its line."""
+    text = ("Bw\x0bDqK\x0c\x0cnot-a-graph\x1cE@Uw\x1d\x1eC~\r\n \r\rDqK\n"
+            "\x85Bw\u2028E@Uw\u2029\nC~")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = _run(capsys, "batch", "--alpha", "0", "-")
+    assert code == EXIT_FAILED
+    expect = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                rec = report_to_json(criterion_check(parse_graph6(line), AlphaParam(0, 1)))
+            except ValueError as exc:
+                rec = {"schema": 1, "error": str(exc)}
+            rec["line"] = lineno
+            expect.append(rec)
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert records[:-1] == expect
+    assert records[-1]["total"] == len(expect) == 9
+
+
+def test_batch_holds_no_list_of_its_lines(capsys, tmp_path, monkeypatch):
+    """batch reads its whole input before the first record, so a bad byte
+    anywhere exits 64 with nothing printed, but then takes one line at a
+    time: by the 1,000th graph of 200,000 lines of C~ it has traced about
+    the decoded text, where a list of the lines took it to 12.8 MB."""
+    path = tmp_path / "pool.g6"
+    path.write_bytes(b"C~\n" * 1000 + b"\xff\n")
+    code, out, err = _run(capsys, "batch", "--alpha", "1/2", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "undecodable byte 0xff" in err
+    path.write_text("C~\n" * 200_000)
+
+    class Enough(Exception):
+        pass
+
+    checked = []
+
+    def check(g, alpha, factor_effort):
+        checked.append(g.n)
+        if len(checked) == 1000:
+            raise Enough
+        return criterion_check(g, alpha, factor_effort=factor_effort)
+
+    monkeypatch.setattr(cli, "criterion_check", check)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Enough):
+            main(["batch", "--alpha", "1/2", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.count("\n") == 999
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

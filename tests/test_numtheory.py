@@ -1,13 +1,23 @@
 """Primality, factorization, and square-free tests against a sieve oracle."""
 
+import json
+import os
 import random
+import select
+import signal
+import threading
+import time
 import tracemalloc
+from contextlib import contextmanager
+from itertools import chain, repeat
 from math import prod
 
 import pytest
 
 from conftest import reference_factorize, reference_sieve
 from walkspec import numtheory
+from walkspec.criterion import AlphaParam, criterion_check, report_to_json
+from walkspec.graphs import parse_graph6
 from walkspec.numtheory import (
     RHO_SHARE,
     FactorizationBudgetError,
@@ -322,6 +332,278 @@ def test_block_trial_division_matches_per_prime_reference(monkeypatch):
             outcomes.add(isinstance(expect, str))
     assert outcomes == {False, True}  # both paths were exercised
     assert set(semiprimes) <= set(seen["new"])  # rho ran on the cofactors
+
+
+# ---------------------------------------------------------------------------
+# ECM workers
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _serial_ecm_curves(m, budget, schedule):
+    """(plan, sigma) of each curve that serial ECM ran on m, before the
+    curves were spread over processes: bounds from a schedule iterator that
+    every composite of one factorization shared, sigmas drawn from an
+    m-seeded generator, each curve paid for before it ran."""
+    rng = random.Random(m ^ numtheory._SEED_SALT)
+    out = []
+    while True:
+        plan = numtheory._ecm_plan(*next(schedule))
+        if budget < plan.units:
+            return out
+        budget -= plan.units
+        out.append((plan, rng.randrange(6, m - 1)))
+
+
+def test_ecm_curves_follow_the_serial_schedule():
+    rng = random.Random(307)
+    units = [numtheory._ecm_plan(b1, b2).units for b1, b2, _ in numtheory._ECM_STAGES]
+    for m in (prod((514062274673, 26247507633517, 45514326819323)),
+              _random_prime(rng, 20) * _random_prime(rng, 25)):
+        for done in (0, 3, 39, 40, 189, 190, 500):
+            for budget in (0, units[0] - 1, units[0], 5 * units[1] + 7, 4_000_000):
+                schedule = chain.from_iterable(
+                    repeat((b1, b2)) if c is None else repeat((b1, b2), c)
+                    for b1, b2, c in numtheory._ECM_STAGES)
+                for _ in range(done):
+                    next(schedule)
+                assert (list(numtheory._ecm_curves(m, budget, done))
+                        == _serial_ecm_curves(m, budget, schedule)), (m, done, budget)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process once seconds have passed."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _ecm_effort_points(monkeypatch, x):
+    """Efforts one unit below, at and one unit above the cumulative charge
+    of each curve that factorize(x) runs at the default effort, and one
+    curve beyond: ECM's budget is the effort less what rho spent."""
+    calls = []
+    real = numtheory._ecm_curves
+
+    def spy(m, budget, done):
+        calls.append((budget, done))
+        return real(m, budget, done)
+
+    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 1)
+    monkeypatch.setattr(numtheory, "_ecm_curves", spy)
+    factorize(x)
+    monkeypatch.setattr(numtheory, "_ecm_curves", real)
+    rho_spent = numtheory.DEFAULT_FACTOR_EFFORT - calls[0][0]
+    run = max(done for _, done in calls) + 2  # the last split, and one more
+    charges = [plan.units for plan, _ in real(x, numtheory.DEFAULT_FACTOR_EFFORT, 0)][:run]
+    points = []
+    for t in range(run):
+        total = rho_spent + sum(charges[:t + 1])
+        points += [total - 1, total, total + 1]
+    return points
+
+
+@needs_fork
+def test_ecm_result_does_not_depend_on_worker_count(monkeypatch):
+    """Seeded composites that only ECM splits, at efforts around each curve's
+    cumulative charge: one, two and three workers give an equal
+    factorization or an equal budget error, and leave no child behind.
+    Rho's share is cut to 2^10 units, so that rho takes milliseconds at
+    each effort and ECM does the rest."""
+    monkeypatch.setattr(numtheory, "RHO_SHARE", 1 << 10)
+    real_fork = os.fork
+
+    def no_fork():
+        raise AssertionError("forked with one worker")
+
+    rng = random.Random(308)
+    composites = [prod(_random_prime(rng, rng.randint(11, 13)) for _ in range(3))
+                  for _ in range(3)]
+    outcomes = set()
+    for x in composites:
+        for effort in _ecm_effort_points(monkeypatch, x):
+            seen = []
+            for k in (1, 2, 3):
+                monkeypatch.setattr(numtheory, "_ecm_workers", lambda k=k: k)
+                monkeypatch.setattr(os, "fork", no_fork if k == 1 else real_fork)
+                with _deadline(120):
+                    seen.append(_outcome(factorize, x, effort))
+                _assert_no_children()
+            assert seen[1] == seen[0] and seen[2] == seen[0], (x, effort)
+            outcomes.add(isinstance(seen[0], str))
+    assert outcomes == {False, True}  # both paths were exercised
+
+
+@needs_fork
+def test_order_16_report_bytes_do_not_depend_on_worker_count(monkeypatch):
+    g = parse_graph6("OVgwclKjqV@?jdl||L`Lu")
+    texts = set()
+    for k in (1, 2, 3):
+        monkeypatch.setattr(numtheory, "_ecm_workers", lambda k=k: k)
+        texts.add(json.dumps(report_to_json(criterion_check(g, AlphaParam(2, 3)))))
+        _assert_no_children()
+    assert len(texts) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="no os.fork or os.sched_getaffinity")
+def test_one_ecm_worker_while_another_thread_runs():
+    """A fork copies only the forking thread, so ECM forks no worker while
+    another thread is alive; otherwise it takes one per CPU it may use."""
+    assert numtheory._ecm_workers() == len(os.sched_getaffinity(0))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert numtheory._ecm_workers() == 1
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def _two_20_digit_primes():
+    # stage-1 curves at B1 = 2000 all but never split this
+    rng = random.Random(309)
+    return _random_prime(rng, 20) * _random_prime(rng, 20)
+
+
+@needs_fork
+def test_no_ecm_worker_outlives_factorize(monkeypatch):
+    """After a split, after a budget error and after an exception in this
+    process's own curve, every worker has been reaped."""
+    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 3)
+    primes = (514062274673, 26247507633517, 45514326819323)
+    assert factorize(prod(primes)).factors == tuple((p, 1) for p in primes)
+    _assert_no_children()
+    hard = _two_20_digit_primes()
+    # rho spends 2^17 - 1 units before it gives up; this pays for 5 curves
+    effort = (1 << 17) - 1 + 5 * numtheory._ecm_plan(2_000, 150_000).units
+    with pytest.raises(FactorizationBudgetError):
+        factorize(hard, effort=effort)
+    _assert_no_children()
+
+    parent = os.getpid()
+    real = numtheory._ecm_curve
+
+    def fails_here(m, sigma, plan):
+        if os.getpid() == parent:
+            raise ZeroDivisionError("curve failed")
+        return real(m, sigma, plan)
+
+    monkeypatch.setattr(numtheory, "_ecm_curve", fails_here)
+    with pytest.raises(ZeroDivisionError):
+        factorize(hard)
+    _assert_no_children()
+
+
+@needs_fork
+def test_a_failed_fork_leaves_every_curve_here(monkeypatch):
+    """When the second fork fails, the first worker is stopped and every
+    curve runs in this process, with the same result."""
+    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 3)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError("no process to spare")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    primes = (514062274673, 26247507633517, 45514326819323)
+    assert factorize(prod(primes)).factors == tuple((p, 1) for p in primes)
+    assert len(forks) >= 2
+    _assert_no_children()
+
+
+@needs_fork
+def test_a_curve_that_fails_in_a_worker_raises_here(monkeypatch):
+    """A worker that dies before sending its result ends the search with an
+    error: the parent neither waits for it nor returns a factor."""
+    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 2)
+    parent = os.getpid()
+    real = numtheory._ecm_curve
+
+    def fails_there(m, sigma, plan):
+        if os.getpid() != parent:
+            raise ZeroDivisionError("curve failed")
+        return real(m, sigma, plan)
+
+    monkeypatch.setattr(numtheory, "_ecm_curve", fails_there)
+    with _deadline(60), pytest.raises(RuntimeError, match="ECM worker 1 stopped"):
+        factorize(_two_20_digit_primes())
+    _assert_no_children()
+
+
+@needs_fork
+def test_an_orphaned_worker_exits_at_its_next_write(monkeypatch):
+    """SIGKILL a process while its ECM worker runs a curve: the worker's
+    next write finds no reader, and it exits, long before its curves run
+    out. A pipe that only the two processes hold open reads end-of-file
+    once both are gone."""
+    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 2)
+    hard = _two_20_digit_primes()
+    alive_r, alive_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the process to kill; its worker is its own child
+        try:
+            os.close(alive_r)
+            me = os.getpid()
+
+            def curve(m, sigma, plan):
+                if os.getpid() == me:
+                    time.sleep(60)
+                else:
+                    os.write(alive_w, b"%d\n" % os.getpid())
+                    time.sleep(0.2)
+                return 1
+
+            numtheory._ecm_curve = curve
+            factorize(hard, effort=10 ** 9)  # thousands of 0.2 s curves
+        finally:
+            os._exit(0)
+    os.close(alive_w)
+    worker = None
+    try:
+        assert select.select([alive_r], [], [], 30)[0], "the worker never started"
+        worker = int(os.read(alive_r, 64).split()[0])
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pid = None
+        deadline = time.monotonic() + 10
+        while True:  # the worker's pid at each curve, until end-of-file
+            left = deadline - time.monotonic()
+            assert left > 0 and select.select([alive_r], [], [], left)[0], \
+                "the worker outlived its parent"
+            if not os.read(alive_r, 64):
+                break
+        worker = None
+    finally:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if worker is not None:
+            try:
+                os.kill(worker, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        os.close(alive_r)
 
 
 # ---------------------------------------------------------------------------

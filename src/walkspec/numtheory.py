@@ -26,12 +26,11 @@ whole effort on one CPU takes no longer than rho alone would. Effort counts
 units of work, not wall time: the same effort decides the same inputs on
 any machine and at any worker count.
 
-ECM runs the curves of one composite on k processes, k being the CPUs this
-process may run on (1 where os.fork is missing or another thread is alive).
-This process runs curves 0, k, 2k, ...; forked children run the others and
-send back each gcd through a pipe. The results are merged in curve order,
-charging and counting each curve as serial ECM would, so every factor,
-charge and budget error is the same at every k. No child outlives the call.
+ECM runs the curves of one composite through _ordered_map, the worker map
+that the mate search and the enumeration share; its docstring states the
+contract. The gcds are taken in curve order, each curve charged and counted
+as serial ECM would, so every factor, charge and budget error is the same
+at every worker count.
 
 Deterministic given the input: the rho walk, the ECM curves and the
 large-input primality rounds are seeded from the number being processed,
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, islice, repeat
 from math import gcd, isqrt, prod
-from typing import BinaryIO, Iterable, Iterator, NoReturn
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 TRIAL_LIMIT = 10**6
 # effort units (rho steps; see the module docstring) before giving up
@@ -63,6 +62,9 @@ _DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
 _FIXED_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RANDOM_ROUNDS = 64
 _SEED_SALT = 0x77616C6B73706563  # stable across sessions
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 class FactorizationBudgetError(RuntimeError):
@@ -353,39 +355,63 @@ def _ecm_curves(m: int, budget: int, done: int) -> Iterator[tuple[_EcmPlan, int]
         yield plan, rng.randrange(6, m - 1)
 
 
-def _ecm_workers() -> int:
-    """Processes to run ECM curves on: one per CPU this process may run on,
-    or 1 where os.fork or os.sched_getaffinity is missing or another thread
-    is alive, since a forked child keeps only the forking thread, and a lock
+_inside = False  # True while a mapped function runs, here or in a worker
+
+
+def _workers() -> int:
+    """Processes to spread an _ordered_map over: one per CPU this process
+    may run on, or 1 inside a mapped function, so workers never nest, and 1
+    where os.fork or os.sched_getaffinity is missing or another thread is
+    alive, since a forked child keeps only the forking thread, and a lock
     another thread held stays taken in it."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+    if (_inside or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _ecm_child(m: int, curves: Iterator[tuple[_EcmPlan, int]], out: int,
-               inherited: list[int]) -> NoReturn:
-    """Body of a forked ECM worker: writes the gcd of each of its curves to
-    fd out, one decimal line each, and stops after a proper divisor, which
-    ends the parent's search. It first closes the read ends of every pipe,
-    so a write fails once the parent is gone, and it leaves only by
-    os._exit, so it never flushes the buffers or runs the clean-up it
-    copied from its parent."""
+def _call_inside(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
+    """[fn(item) for item in items], run as a mapped function: _workers()
+    reads 1 meanwhile."""
+    global _inside
+    outer, _inside = _inside, True
+    try:
+        return [fn(item) for item in items]
+    finally:
+        _inside = outer
+
+
+def _worker(fn: Callable[[_T], _R], batches: Iterable[Sequence[_T]], out: int,
+            inherited: list[int]) -> NoReturn:
+    """Body of a forked worker: writes one pickled list of results per batch
+    to fd out, or, when fn raises, the traceback as a str, and stops.
+    It first closes the read ends of every pipe, so a write fails once the
+    caller is gone, and it leaves only by os._exit, so it never flushes the
+    buffers or runs the clean-up it copied from the caller."""
+    import pickle
+
     try:
         for fd in inherited:
             os.close(fd)
-        for plan, sigma in curves:
-            g = _ecm_curve(m, sigma, plan)
-            os.write(out, b"%d\n" % g)
-            if 1 < g < m:
-                break
+        with os.fdopen(out, "wb") as f:
+            for batch in batches:
+                try:
+                    results: list | str = _call_inside(fn, batch)
+                except Exception:
+                    import traceback
+                    results = traceback.format_exc()
+                pickle.dump(results, f, pickle.HIGHEST_PROTOCOL)
+                f.flush()
+                if isinstance(results, str):
+                    break
     finally:
         os._exit(0)
 
 
 def _stop_workers(pids: list[int], readers: list[BinaryIO]) -> None:
-    """Kill and reap every ECM worker, and close the pipes they wrote to."""
+    """Kill and reap every worker, and close the pipes they wrote to."""
+    if not readers:
+        return
     import signal  # here, not at the top: it adds 1.5 ms to every start-up
 
     for pid in pids:
@@ -397,56 +423,103 @@ def _stop_workers(pids: list[int], readers: list[BinaryIO]) -> None:
     readers.clear()
 
 
-def _ecm(m: int, budget: list[int], done: list[int]) -> int:
-    """Nontrivial divisor of odd composite m by Lenstra's elliptic-curve
-    method, over the curves of _ecm_curves(m, budget[0], done[0]).
+def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
+                 batch: int = 1, min_items: int = 2) -> Iterator[_R]:
+    """Yield fn(item) for every item, in item order, computed on up to
+    _workers() processes.
 
-    Curve t runs in worker t mod k, k from _ecm_workers() but no more than
-    the curves paid for. Worker 0 is this process; the others are forked
-    children that send each gcd back through a pipe. The results are taken
-    in curve order: each curve's units are charged to budget[0] and the
-    curve counted in done[0] before the next result is read, and the first
-    proper divisor is returned, so the divisor, the charge and the budget
-    error are those of running every curve here, whatever k is. No child
-    outlives the call. Raises FactorizationBudgetError when the budget pays
-    for no further curve, and RuntimeError when a child stops early."""
-    curves = _ecm_curves(m, budget[0], done[0])
-    k = len(list(islice(_ecm_curves(m, budget[0], done[0]), _ecm_workers())))
+    The items are cut into batches of `batch` consecutive items, and batch t
+    runs in worker t mod k. k is _workers(), but no more than the batches,
+    and 1 when there are fewer than min_items items, too few to pay for a
+    fork (a fork and reap costs about 3 ms). Worker 0 is this process. The
+    others are children forked when the map starts, so they see fn and the
+    items as they are then; each draws the items itself, from its copy of
+    the iterator, so they are never held whole, and streams its batches'
+    results back through a pipe, pickled, as it finishes them. This process
+    takes the batches in order, running its own as it reaches them and
+    reading the others', so what it yields is the same at every k. With
+    k = 1 nothing is forked or pickled, and fn runs on each item here.
+
+    Inside fn, here or in a child, _workers() reads 1, so workers never
+    nest: a map or an ECM that fn reaches forks nothing. The caller may stop
+    reading early, and must then close() the generator. When it is closed
+    or finished, or fn raises here, every child is killed and reaped, so no
+    child outlives the map. When fn raises in a child, or a child dies, the
+    map raises RuntimeError naming `label` once it reaches that child's
+    batch; it never waits on a dead child and yields nothing past the last
+    whole batch. A fork or pipe that fails stops the children already
+    forked, and every batch runs here, with the same results. fn and the
+    items must not rely on state changed after the fork, the results must
+    pickle, and the caller runs one map at a time, since a child forked
+    while another map is open would hold that map's pipes.
+    """
+    it = iter(items)
+    batches = iter(lambda: list(islice(it, batch)), [])  # ends at the empty batch
+    # the batches that decide k: one per worker, and min_items items
+    workers = _workers()
+    head = list(islice(batches, max(workers, -(-min_items // batch))))
+    k = min(workers, len(head)) if sum(map(len, head)) >= min_items else 1
+    batches = chain(head, batches)
     pids: list[int] = []
     readers: list[BinaryIO] = []
     try:
-        try:
-            for i in range(1, k):
-                r, w = os.pipe()
-                readers.append(os.fdopen(r, "rb"))
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _ecm_child(m, islice(curves, i, None, k), w,
-                                   [reader.fileno() for reader in readers])
-                    pids.append(pid)
-                finally:
-                    os.close(w)
-        except OSError:
-            # no process or pipe to spare: every curve runs here
-            _stop_workers(pids, readers)
-            k = 1
-        for t, (plan, sigma) in enumerate(curves):
+        if k > 1:
+            import pickle
+            try:
+                for i in range(1, k):
+                    r, w = os.pipe()
+                    readers.append(os.fdopen(r, "rb"))
+                    try:
+                        pid = os.fork()
+                        if pid == 0:
+                            _worker(fn, islice(batches, i, None, k), w,
+                                    [reader.fileno() for reader in readers])
+                        pids.append(pid)
+                    finally:
+                        os.close(w)
+            except OSError:
+                # no process or pipe to spare: every batch runs here
+                _stop_workers(pids, readers)
+                k = 1
+        for t, part in enumerate(batches):
             if t % k == 0:
-                g = _ecm_curve(m, sigma, plan)
+                results = _call_inside(fn, part)
             else:
-                line = readers[t % k - 1].readline()
-                if not line:
-                    raise RuntimeError(f"ECM worker {t % k} stopped before curve {done[0]}")
-                g = int(line)
+                try:
+                    results = pickle.load(readers[t % k - 1])
+                except (EOFError, pickle.UnpicklingError):
+                    results = "it sent no error\n"
+                if isinstance(results, str):
+                    raise RuntimeError(f"{label} worker {t % k} stopped before "
+                                       f"item {t * batch}; {results}")
+            yield from results
+    finally:
+        _stop_workers(pids, readers)
+
+
+def _ecm(m: int, budget: list[int], done: list[int]) -> int:
+    """Nontrivial divisor of odd composite m by Lenstra's elliptic-curve
+    method, over the curves of _ecm_curves(m, budget[0], done[0]), run by
+    _ordered_map. The results are taken in curve order: each curve's units
+    are charged to budget[0] and the curve counted in done[0] before the
+    next result is read, and the first proper divisor is returned, so the
+    divisor, the charge and the budget error are those of running every
+    curve here, at every worker count. Raises FactorizationBudgetError when
+    the budget pays for no further curve, and RuntimeError when a worker
+    stops early."""
+    curves = _ecm_curves(m, budget[0], done[0])
+    gcds = _ordered_map(lambda curve: _ecm_curve(m, curve[1], curve[0]),
+                        _ecm_curves(m, budget[0], done[0]), "ECM")
+    try:
+        for (plan, _), g in zip(curves, gcds):
             budget[0] -= plan.units
             done[0] += 1
             if 1 < g < m:
                 return g
-        raise FactorizationBudgetError(
-            f"effort cap hit while splitting a {len(str(m))}-digit composite")
     finally:
-        _stop_workers(pids, readers)
+        gcds.close()
+    raise FactorizationBudgetError(
+        f"effort cap hit while splitting a {len(str(m))}-digit composite")
 
 
 def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:

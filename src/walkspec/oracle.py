@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import numtheory
 from .criterion import (AlphaParam, SpectrumKey, Verdict, alpha_matrix,
                         criterion_check, spectrum_key, walk_matrix)
 from .graphs import CANONICAL_CAP, Graph, canonical_form, encode_graph6
 from .linalg import IntMatrix, smith_divisors, solve_fraction_free
+from .numtheory import _ordered_map
 
 
 class CertificateError(RuntimeError):
@@ -62,13 +63,29 @@ class OrthogonalCertificate:
 _Keyed = list[tuple[Graph, SpectrumKey, bytes | None]]
 
 
+# Batches of a per-graph map, and the fewest graphs (or classes) it forks
+# for: at order 7 a spectrum key, or a class check, takes 0.1-0.3 ms and a
+# canonical form about 0.05 ms, against about 3 ms for a fork.
+_PER_BATCH = 16
+_MIN_GRAPHS = 128
+_MIN_FORMS = 512
+
+
+def _forms(graphs: Sequence[Graph]) -> Iterator[bytes]:
+    """The canonical form of each graph, all computed before the first is
+    read."""
+    return iter(list(_ordered_map(canonical_form, graphs, "canonical form",
+                                  4 * _PER_BATCH, _MIN_FORMS)))
+
+
 def _keyed_pool(graphs: Iterable[Graph], alpha: AlphaParam) -> _Keyed:
     """(graph, spectrum key, canonical form) for every graph of one order,
     each computed at most once; the grouping functions below share this pass.
 
     Isomorphic graphs share a spectrum key, so a mate class needs dedup and
     member order only where two or more pool graphs share its key. The form
-    is computed there and left None for a graph alone with its key.
+    is computed there and left None for a graph alone with its key. Keys
+    and forms are computed on every worker of numtheory._ordered_map.
     """
     pool = list(graphs)
     if not pool:
@@ -78,9 +95,11 @@ def _keyed_pool(graphs: Iterable[Graph], alpha: AlphaParam) -> _Keyed:
         raise PoolError("all graphs must have the same order")
     if n > CANONICAL_CAP:
         raise PoolError(f"mate search supports at most {CANONICAL_CAP} vertices")
-    keys = [spectrum_key(g, alpha) for g in pool]
+    keys = list(_ordered_map(lambda g: spectrum_key(g, alpha), pool,
+                             "spectrum key", _PER_BATCH, _MIN_GRAPHS))
     shared = Counter(keys)
-    return [(g, key, canonical_form(g) if shared[key] > 1 else None)
+    forms = _forms([g for g, key in zip(pool, keys) if shared[key] > 1])
+    return [(g, key, next(forms) if shared[key] > 1 else None)
             for g, key in zip(pool, keys)]
 
 
@@ -102,15 +121,15 @@ def _plain_only_classes(keyed: _Keyed) -> list[tuple[Graph, ...]]:
     by_poly: dict[tuple[int, ...], _Keyed] = {}
     for entry in keyed:
         by_poly.setdefault(entry[1].poly, []).append(entry)
+    groups = [group for _, group in sorted(by_poly.items())
+              if len({key for _, key, _ in group}) > 1]
+    # members are ordered by form; a graph alone with its key has none yet
+    forms = _forms([g for group in groups for g, _, form in group if form is None])
     out = []
-    for poly in sorted(by_poly):
-        group = by_poly[poly]
-        if len({key for _, key, _ in group}) < 2:
-            continue
-        # members are ordered by form; a graph alone with its key has none yet
+    for group in groups:
         reps: dict[bytes, Graph] = {}
         for g, _, form in group:
-            reps.setdefault(canonical_form(g) if form is None else form, g)
+            reps.setdefault(next(forms) if form is None else form, g)
         out.append(tuple(reps[form] for form in sorted(reps)))
     return out
 
@@ -211,11 +230,57 @@ class VerificationReport:
         return not self.counterexamples
 
 
+# what verify_theorem's check of one class adds to its report: (graph6,
+# verdict) per member, counterexamples, pair checks and skipped pairs
+_ClassCheck = tuple[list[tuple[str, Verdict]], list[str], list[PairCheck], int]
+
+
+def _check_class(cls: MateClass, alpha: AlphaParam, factor_effort: int) -> _ClassCheck:
+    verdicts: list[tuple[str, Verdict]] = []
+    counterexamples: list[str] = []
+    pair_checks: list[PairCheck] = []
+    skipped = 0
+    names = [encode_graph6(g) for g in cls.members]
+    # the report's W serves all of the member's pairs
+    reports = [criterion_check(g, alpha, factor_effort=factor_effort)
+               for g in cls.members]
+    for g6, rep in zip(names, reports):
+        verdicts.append((g6, rep.verdict))
+        if rep.verdict == Verdict.CERTIFIED_DGAS and cls.nontrivial:
+            others = [h6 for h6 in names if h6 != g6]
+            counterexamples.append(
+                f"certified graph {g6} shares its spectrum key with "
+                f"{', '.join(others)}")
+    # class membership already proves equal keys
+    for (g, g6, rg), (h, h6, rh) in combinations(
+            zip(cls.members, names, reports), 2):
+        if rg.det_walk == 0 or rh.det_walk == 0:
+            skipped += 1
+            continue
+        pc = PairCheck(_certificate(g, h, rg.walk, rh.walk, alpha, g6, h6),
+                       smith_divisors(rg.walk)[-1], rg.arithmetic_ok)
+        cert = pc.certificate
+        if not pc.level_divides_last_divisor:
+            counterexamples.append(
+                f"level {cert.level} of pair {cert.source} -> "
+                f"{cert.target} does not divide the last Smith "
+                f"divisor {pc.last_divisor}")
+        if pc.no_odd_prime_in_level is False:
+            counterexamples.append(
+                f"odd prime divides level {cert.level} of pair "
+                f"{cert.source} -> {cert.target} though the "
+                f"source passes the arithmetic criterion")
+        pair_checks.append(pc)
+    return verdicts, counterexamples, pair_checks, skipped
+
+
 def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
                    factor_effort: int = numtheory.DEFAULT_FACTOR_EFFORT
                    ) -> VerificationReport:
     """Check every certified graph sits alone in its mate class and every
-    built certificate obeys the expected level arithmetic."""
+    built certificate obeys the expected level arithmetic. The classes are
+    checked on every worker of numtheory._ordered_map, and their results
+    joined in class order."""
     pool = list(graphs)
     keyed = _keyed_pool(pool, alpha)
     classes = tuple(_mate_classes(keyed))
@@ -223,38 +288,12 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
     counterexamples: list[str] = []
     pair_checks: list[PairCheck] = []
     skipped = 0
-    for cls in classes:
-        names = [encode_graph6(g) for g in cls.members]
-        # the report's W serves all of the member's pairs
-        reports = [criterion_check(g, alpha, factor_effort=factor_effort)
-                   for g in cls.members]
-        for g6, rep in zip(names, reports):
-            verdicts.append((g6, rep.verdict))
-            if rep.verdict == Verdict.CERTIFIED_DGAS and cls.nontrivial:
-                others = [h6 for h6 in names if h6 != g6]
-                counterexamples.append(
-                    f"certified graph {g6} shares its spectrum key with "
-                    f"{', '.join(others)}")
-        # class membership already proves equal keys
-        for (g, g6, rg), (h, h6, rh) in combinations(
-                zip(cls.members, names, reports), 2):
-            if rg.det_walk == 0 or rh.det_walk == 0:
-                skipped += 1
-                continue
-            pc = PairCheck(_certificate(g, h, rg.walk, rh.walk, alpha, g6, h6),
-                           smith_divisors(rg.walk)[-1], rg.arithmetic_ok)
-            cert = pc.certificate
-            if not pc.level_divides_last_divisor:
-                counterexamples.append(
-                    f"level {cert.level} of pair {cert.source} -> "
-                    f"{cert.target} does not divide the last Smith "
-                    f"divisor {pc.last_divisor}")
-            if pc.no_odd_prime_in_level is False:
-                counterexamples.append(
-                    f"odd prime divides level {cert.level} of pair "
-                    f"{cert.source} -> {cert.target} though the "
-                    f"source passes the arithmetic criterion")
-            pair_checks.append(pc)
+    for part in _ordered_map(lambda cls: _check_class(cls, alpha, factor_effort),
+                             classes, "class check", _PER_BATCH, _MIN_GRAPHS):
+        verdicts += part[0]
+        counterexamples += part[1]
+        pair_checks += part[2]
+        skipped += part[3]
     plain = tuple(tuple(encode_graph6(g) for g in grp)
                   for grp in _plain_only_classes(keyed))
     return VerificationReport(

@@ -1,3 +1,4 @@
+import os
 import pathlib
 import random
 from functools import lru_cache
@@ -34,6 +35,35 @@ def fixtures_dir() -> pathlib.Path:
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def at_each_worker_count(monkeypatch, run) -> list:
+    """[run() with the worker count of numtheory's map set to 1, 2 and 3].
+    With one worker a fork fails the call; with more, run() must fork; no
+    child is left after any call."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    real_fork = os.fork
+    forks = []
+
+    def no_fork():
+        raise AssertionError("forked with one worker")
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    out = []
+    for k in (1, 2, 3):
+        forks.clear()
+        monkeypatch.setattr(numtheory, "_workers", lambda k=k: k)
+        monkeypatch.setattr(os, "fork", no_fork if k == 1 else fork)
+        out.append(run())
+        assert k == 1 or forks, f"nothing forked with {k} workers"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(os, "fork", real_fork)
+    return out
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

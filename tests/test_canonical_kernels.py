@@ -17,7 +17,7 @@ from walkspec.graphs import (CANONICAL_CAP, Graph, _representatives,
                              canonical_form, degree_vector, encode_graph6,
                              enumerate_graphs, parse_graph6)
 
-from conftest import relabel
+from conftest import at_each_worker_count, relabel
 
 # graphs on 8 nodes up to isomorphism, and connected ones (OEIS A000088, A001349)
 COUNT_8 = 12346
@@ -240,6 +240,15 @@ def test_pruned_form_matches_reference_on_twin_rich_families(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_representatives_match_reference(n):
     assert _representatives(n) == _representatives_reference(n)
+
+
+def test_representatives_do_not_depend_on_worker_count(monkeypatch):
+    def enumerate_afresh():
+        monkeypatch.setattr(graphs, "_enum_cache", {})
+        return [_representatives(n) for n in range(1, 8)]
+
+    outs = at_each_worker_count(monkeypatch, enumerate_afresh)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_enumerator_extends_by_maximum_degree_vertices_only(monkeypatch):

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import FIXTURES, HARD_ALPHA, random_graph, read_fixture
+from conftest import (FIXTURES, HARD_ALPHA, at_each_worker_count, random_graph,
+                      read_fixture)
 from walkspec import cli, numtheory
 from walkspec.cli import EXIT_CERTIFIED, EXIT_FAILED, EXIT_LIMITED, EXIT_USAGE, main
 from walkspec.criterion import AlphaParam, criterion_check, report_to_json
@@ -370,6 +371,21 @@ def test_table_output_bytes_are_pinned(capsys, argv, sha256):
     code, out, _ = _run(capsys, *argv)
     assert code == EXIT_CERTIFIED
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-theorem", "--n", "7", "--alpha", "0", "--output", "json"),
+    ("verify-theorem", "--n", "7", "--alpha", "0"),
+    ("verify-theorem", "--n", "7", "--alpha", "1/2", "--output", "json"),
+    ("verify-theorem", "--n", "7", "--alpha", "1/2"),
+    ("verify-theorem", "--alpha", "1/2", MATES8),
+    ("mates", "--n", "7", "--alpha", "0"),
+], ids=["verify-0-json", "verify-0-table", "verify-1/2-json",
+        "verify-1/2-table", "verify-mates8", "mates"])
+def test_output_bytes_do_not_depend_on_worker_count(capsys, monkeypatch, argv):
+    outs = at_each_worker_count(monkeypatch, lambda: _run(capsys, *argv))
+    assert outs[0][0] == EXIT_CERTIFIED
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_table_output_builds_no_json_payload(capsys, monkeypatch, tmp_path):

@@ -403,7 +403,7 @@ def _ecm_effort_points(monkeypatch, x):
         calls.append((budget, done))
         return real(m, budget, done)
 
-    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 1)
+    monkeypatch.setattr(numtheory, "_workers", lambda: 1)
     monkeypatch.setattr(numtheory, "_ecm_curves", spy)
     factorize(x)
     monkeypatch.setattr(numtheory, "_ecm_curves", real)
@@ -438,7 +438,7 @@ def test_ecm_result_does_not_depend_on_worker_count(monkeypatch):
         for effort in _ecm_effort_points(monkeypatch, x):
             seen = []
             for k in (1, 2, 3):
-                monkeypatch.setattr(numtheory, "_ecm_workers", lambda k=k: k)
+                monkeypatch.setattr(numtheory, "_workers", lambda k=k: k)
                 monkeypatch.setattr(os, "fork", no_fork if k == 1 else real_fork)
                 with _deadline(120):
                     seen.append(_outcome(factorize, x, effort))
@@ -453,7 +453,7 @@ def test_order_16_report_bytes_do_not_depend_on_worker_count(monkeypatch):
     g = parse_graph6("OVgwclKjqV@?jdl||L`Lu")
     texts = set()
     for k in (1, 2, 3):
-        monkeypatch.setattr(numtheory, "_ecm_workers", lambda k=k: k)
+        monkeypatch.setattr(numtheory, "_workers", lambda k=k: k)
         texts.add(json.dumps(report_to_json(criterion_check(g, AlphaParam(2, 3)))))
         _assert_no_children()
     assert len(texts) == 1
@@ -464,12 +464,12 @@ def test_order_16_report_bytes_do_not_depend_on_worker_count(monkeypatch):
 def test_one_ecm_worker_while_another_thread_runs():
     """A fork copies only the forking thread, so ECM forks no worker while
     another thread is alive; otherwise it takes one per CPU it may use."""
-    assert numtheory._ecm_workers() == len(os.sched_getaffinity(0))
+    assert numtheory._workers() == len(os.sched_getaffinity(0))
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert numtheory._ecm_workers() == 1
+        assert numtheory._workers() == 1
     finally:
         release.set()
         thread.join(10)
@@ -486,7 +486,7 @@ def _two_20_digit_primes():
 def test_no_ecm_worker_outlives_factorize(monkeypatch):
     """After a split, after a budget error and after an exception in this
     process's own curve, every worker has been reaped."""
-    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 3)
+    monkeypatch.setattr(numtheory, "_workers", lambda: 3)
     primes = (514062274673, 26247507633517, 45514326819323)
     assert factorize(prod(primes)).factors == tuple((p, 1) for p in primes)
     _assert_no_children()
@@ -515,7 +515,7 @@ def test_no_ecm_worker_outlives_factorize(monkeypatch):
 def test_a_failed_fork_leaves_every_curve_here(monkeypatch):
     """When the second fork fails, the first worker is stopped and every
     curve runs in this process, with the same result."""
-    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 3)
+    monkeypatch.setattr(numtheory, "_workers", lambda: 3)
     forks = []
     real_fork = os.fork
 
@@ -536,7 +536,7 @@ def test_a_failed_fork_leaves_every_curve_here(monkeypatch):
 def test_a_curve_that_fails_in_a_worker_raises_here(monkeypatch):
     """A worker that dies before sending its result ends the search with an
     error: the parent neither waits for it nor returns a factor."""
-    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 2)
+    monkeypatch.setattr(numtheory, "_workers", lambda: 2)
     parent = os.getpid()
     real = numtheory._ecm_curve
 
@@ -557,7 +557,7 @@ def test_an_orphaned_worker_exits_at_its_next_write(monkeypatch):
     next write finds no reader, and it exits, long before its curves run
     out. A pipe that only the two processes hold open reads end-of-file
     once both are gone."""
-    monkeypatch.setattr(numtheory, "_ecm_workers", lambda: 2)
+    monkeypatch.setattr(numtheory, "_workers", lambda: 2)
     hard = _two_20_digit_primes()
     alive_r, alive_w = os.pipe()
     pid = os.fork()
@@ -604,6 +604,149 @@ def test_an_orphaned_worker_exits_at_its_next_write(monkeypatch):
             except ProcessLookupError:
                 pass
         os.close(alive_r)
+
+
+# ---------------------------------------------------------------------------
+# the ordered worker map that ECM and the mate search share
+# ---------------------------------------------------------------------------
+
+
+def _where(x):
+    """(x squared, pid of the process that ran x)."""
+    return x * x, os.getpid()
+
+
+@needs_fork
+def test_ordered_map_runs_item_t_in_worker_t_mod_k(monkeypatch):
+    """Every result arrives in item order at every k, batch t running in
+    worker t mod k, worker 0 being this process, whether the items come as
+    a list or from a generator."""
+    items = list(range(37))
+    parent = os.getpid()
+    for batch, source in ((1, list), (4, iter), (40, list)):
+        for k in (1, 2, 3):
+            monkeypatch.setattr(numtheory, "_workers", lambda k=k: k)
+            out = list(numtheory._ordered_map(_where, source(items), "test", batch))
+            _assert_no_children()
+            assert [sq for sq, _ in out] == [x * x for x in items]
+            pids = [pid for _, pid in out]
+            workers = min(k, -(-len(items) // batch))
+            for x, pid in zip(items, pids):
+                assert (pid == parent) == (x // batch % workers == 0), (batch, k, x)
+                assert pid == pids[x % (batch * workers)]
+            assert len(set(pids)) == workers
+
+
+@needs_fork
+def test_ordered_map_forks_nothing_below_min_items(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked for too few items")
+
+    monkeypatch.setattr(numtheory, "_workers", lambda: 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = list(numtheory._ordered_map(_where, list(range(9)), "test", 1, 10))
+    assert out == [(x * x, os.getpid()) for x in range(9)]
+    assert list(numtheory._ordered_map(_where, [], "test")) == []
+
+
+@needs_fork
+def test_no_worker_outlives_the_map(monkeypatch):
+    """After a map that finishes, one the caller stops reading, and one
+    whose function raises here, every worker has been reaped; a worker
+    blocked on a full pipe is killed, not waited for."""
+    monkeypatch.setattr(numtheory, "_workers", lambda: 3)
+    assert list(numtheory._ordered_map(_where, list(range(20)), "test"))[-1][0] == 361
+    _assert_no_children()
+
+    results = numtheory._ordered_map(lambda x: bytes(1 << 20), list(range(30)), "test")
+    assert len(next(results)) == 1 << 20
+    with _deadline(60):
+        results.close()
+    _assert_no_children()
+
+    parent = os.getpid()
+
+    def fails_here(x):
+        if os.getpid() == parent and x == 6:
+            raise ZeroDivisionError("item failed")
+        return x
+
+    with pytest.raises(ZeroDivisionError):
+        list(numtheory._ordered_map(fails_here, list(range(20)), "test"))
+    _assert_no_children()
+
+
+@needs_fork
+def test_a_failure_in_a_worker_raises_here(monkeypatch):
+    """A worker whose function raises, or that dies, ends the map with an
+    error: the caller neither waits for it nor returns a partial list."""
+    monkeypatch.setattr(numtheory, "_workers", lambda: 2)
+    parent = os.getpid()
+
+    def fails_there(x):
+        if os.getpid() != parent and x == 5:
+            raise ZeroDivisionError("item failed")
+        return x
+
+    def dies_there(x):
+        if os.getpid() != parent and x == 5:
+            os._exit(3)
+        return x
+
+    with _deadline(60), pytest.raises(RuntimeError) as failed:
+        list(numtheory._ordered_map(fails_there, list(range(20)), "test"))
+    _assert_no_children()
+    assert str(failed.value).startswith("test worker 1 stopped before item 5; Traceback")
+    assert str(failed.value).endswith("ZeroDivisionError: item failed\n")
+    with _deadline(60), pytest.raises(
+            RuntimeError, match="^test worker 1 stopped before item 5; it sent no error"):
+        list(numtheory._ordered_map(dies_there, list(range(20)), "test"))
+    _assert_no_children()
+
+
+@needs_fork
+def test_a_failed_second_fork_runs_every_item_here(monkeypatch):
+    monkeypatch.setattr(numtheory, "_workers", lambda: 3)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError("no process to spare")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    out = list(numtheory._ordered_map(_where, list(range(20)), "test"))
+    assert out == [(x * x, os.getpid()) for x in range(20)]
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="no os.fork or os.sched_getaffinity")
+def test_the_worker_count_reads_1_inside_a_mapped_function(monkeypatch):
+    """Workers never nest: inside the mapped function, here and in every
+    child, the count is 1, and it is restored when the map ends or fails."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert numtheory._workers() == 3
+
+    def count(x):
+        return numtheory._workers(), os.getpid()
+
+    out = list(numtheory._ordered_map(count, list(range(9)), "test"))
+    assert [k for k, _ in out] == [1] * 9
+    assert len({pid for _, pid in out}) == 3
+    _assert_no_children()
+    assert numtheory._workers() == 3
+
+    def fails(x):
+        raise ZeroDivisionError("item failed")
+
+    with pytest.raises(ZeroDivisionError):
+        list(numtheory._ordered_map(fails, list(range(9)), "test"))
+    _assert_no_children()
+    assert numtheory._workers() == 3
 
 
 # ---------------------------------------------------------------------------

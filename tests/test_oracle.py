@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import relabel
-from walkspec import oracle
+from conftest import FIXTURES, at_each_worker_count, random_graph, relabel
+from walkspec import numtheory, oracle
 from walkspec.criterion import (ALPHA_HALF, ALPHA_ZERO, AlphaParam, Verdict,
                                 spectrum_key, walk_matrix)
 from walkspec.graphs import (
@@ -282,6 +282,8 @@ def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
+    # the counts are of calls in this process, so no worker may take any
+    monkeypatch.setattr(numtheory, "_workers", lambda: 1)
     for name in calls:
         counted(oracle, name)
     counted(criterion, "walk_matrix")
@@ -301,6 +303,27 @@ def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
                      "encode_graph6": len(pool)}
     assert [cls["members"] for cls in payload["classes"]] == \
         [[encode_graph6(g) for g in cls.members] for cls in report.classes]
+
+
+def test_mate_search_does_not_depend_on_worker_count(monkeypatch):
+    """A seeded order-8 pool with relabeled duplicates, so that the dedup
+    through canonical forms crosses workers: every class, verdict and
+    certificate is the same at every worker count."""
+    rng = random.Random(2311)
+    mates8 = (FIXTURES.parent / "perfbench" / "data" / "mates8_alpha_1-2.g6").read_text()
+    pool = rng.sample([parse_graph6(line) for line in mates8.split()], 200)
+    pool += [random_graph(rng, 8) for _ in range(400)]
+    pool += [relabel(g, rng.sample(range(8), 8)) for g in rng.sample(pool, 300)]
+    rng.shuffle(pool)
+
+    def search():
+        return (verification_to_json(verify_theorem(pool, ALPHA_HALF)),
+                find_mate_classes(pool, ALPHA_ZERO))
+
+    outs = at_each_worker_count(monkeypatch, search)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert outs[0][0]["nontrivial_classes"] and outs[0][0]["ok"]
+    assert len(outs[0][1]) < len(pool) - 250  # the duplicates were merged
 
 
 def test_verification_json_shape():

@@ -384,7 +384,7 @@ def _call_inside(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
 def _worker(fn: Callable[[_T], _R], batches: Iterable[Sequence[_T]], out: int,
             inherited: list[int]) -> NoReturn:
     """Body of a forked worker: writes one pickled list of results per batch
-    to fd out, or, when fn raises, the traceback as a str, and stops.
+    to fd out, or, when fn raises, the exception if it pickles, and stops.
     It first closes the read ends of every pipe, so a write fails once the
     caller is gone, and it leaves only by os._exit, so it never flushes the
     buffers or runs the clean-up it copied from the caller."""
@@ -396,13 +396,15 @@ def _worker(fn: Callable[[_T], _R], batches: Iterable[Sequence[_T]], out: int,
         with os.fdopen(out, "wb") as f:
             for batch in batches:
                 try:
-                    results: list | str = _call_inside(fn, batch)
-                except Exception:
-                    import traceback
-                    results = traceback.format_exc()
-                pickle.dump(results, f, pickle.HIGHEST_PROTOCOL)
+                    results: list | Exception = _call_inside(fn, batch)
+                except Exception as exc:
+                    results = exc
+                try:
+                    f.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
+                except Exception:  # the caller reports that nothing was sent
+                    break
                 f.flush()
-                if isinstance(results, str):
+                if isinstance(results, Exception):
                     break
     finally:
         os._exit(0)
@@ -444,10 +446,11 @@ def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
     nest: a map or an ECM that fn reaches forks nothing. The caller may stop
     reading early, and must then close() the generator. When it is closed
     or finished, or fn raises here, every child is killed and reaped, so no
-    child outlives the map. When fn raises in a child, or a child dies, the
-    map raises RuntimeError naming `label` once it reaches that child's
-    batch; it never waits on a dead child and yields nothing past the last
-    whole batch. A fork or pipe that fails stops the children already
+    child outlives the map. When fn raises in a child, the map raises that
+    exception, as at k = 1, once it reaches that child's batch, or
+    RuntimeError naming `label` when the child died or its exception does
+    not pickle; it never waits on a dead child and yields nothing past the
+    last whole batch. A fork or pipe that fails stops the children already
     forked, and every batch runs here, with the same results. fn and the
     items must not rely on state changed after the fork, the results must
     pickle, and the caller runs one map at a time, since a child forked
@@ -487,11 +490,11 @@ def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
             else:
                 try:
                     results = pickle.load(readers[t % k - 1])
-                except (EOFError, pickle.UnpicklingError):
-                    results = "it sent no error\n"
-                if isinstance(results, str):
+                except Exception:  # a dead child, or an error that does not unpickle
                     raise RuntimeError(f"{label} worker {t % k} stopped before "
-                                       f"item {t * batch}; {results}")
+                                       f"item {t * batch}; it sent no error")
+                if isinstance(results, Exception):
+                    raise results
             yield from results
     finally:
         _stop_workers(pids, readers)

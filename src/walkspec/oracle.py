@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -59,10 +59,6 @@ class OrthogonalCertificate:
     target: str  # graph6 of the target graph
 
 
-# (graph, spectrum key, canonical form or None) per pool graph
-_Keyed = list[tuple[Graph, SpectrumKey, bytes | None]]
-
-
 # Batches of a per-graph map, and the fewest graphs (or classes) it forks
 # for: at order 7 a spectrum key, or a class check, takes 0.1-0.3 ms and a
 # canonical form about 0.05 ms, against about 3 ms for a fork.
@@ -78,14 +74,15 @@ def _forms(graphs: Sequence[Graph]) -> Iterator[bytes]:
                                   4 * _PER_BATCH, _MIN_FORMS)))
 
 
-def _keyed_pool(graphs: Iterable[Graph], alpha: AlphaParam) -> _Keyed:
-    """(graph, spectrum key, canonical form) for every graph of one order,
-    each computed at most once; the grouping functions below share this pass.
+def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateClass]:
+    """Group graphs of one fixed order by spectrum key, one representative
+    per isomorphism class, classes sorted by key and members by canonical
+    form.
 
-    Isomorphic graphs share a spectrum key, so a mate class needs dedup and
-    member order only where two or more pool graphs share its key. The form
-    is computed there and left None for a graph alone with its key. Keys
-    and forms are computed on every worker of numtheory._ordered_map.
+    Isomorphic graphs share a spectrum key, so a class needs dedup and
+    member order only where two or more pool graphs share its key; forms
+    are computed for those graphs alone. Keys and forms are computed on
+    every worker of numtheory._ordered_map.
     """
     pool = list(graphs)
     if not pool:
@@ -99,46 +96,25 @@ def _keyed_pool(graphs: Iterable[Graph], alpha: AlphaParam) -> _Keyed:
                              "spectrum key", _PER_BATCH, _MIN_GRAPHS))
     shared = Counter(keys)
     forms = _forms([g for g, key in zip(pool, keys) if shared[key] > 1])
-    return [(g, key, next(forms) if shared[key] > 1 else None)
-            for g, key in zip(pool, keys)]
-
-
-def _mate_classes(keyed: _Keyed) -> list[MateClass]:
     groups: dict[SpectrumKey, dict[bytes | None, Graph]] = {}
-    for g, key, form in keyed:
+    for g, key in zip(pool, keys):
+        form = next(forms) if shared[key] > 1 else None
         groups.setdefault(key, {}).setdefault(form, g)
-    out = []
-    for key in sorted(groups):
-        reps = groups[key]
-        members = tuple(reps[form] for form in sorted(reps))
-        out.append(MateClass(key, members))
-    return out
+    return [MateClass(key, tuple(reps[form] for form in sorted(reps)))
+            for key, reps in sorted(groups.items())]
 
 
-def _plain_only_classes(keyed: _Keyed) -> list[tuple[Graph, ...]]:
+def _plain_only_classes(classes: Iterable[MateClass]) -> list[tuple[Graph, ...]]:
     """Groups cospectral for the graph polynomial alone but split by the
-    complement polynomial."""
-    by_poly: dict[tuple[int, ...], _Keyed] = {}
-    for entry in keyed:
-        by_poly.setdefault(entry[1].poly, []).append(entry)
-    groups = [group for _, group in sorted(by_poly.items())
-              if len({key for _, key, _ in group}) > 1]
-    # members are ordered by form; a graph alone with its key has none yet
-    forms = _forms([g for group in groups for g, _, form in group if form is None])
-    out = []
-    for group in groups:
-        reps: dict[bytes, Graph] = {}
-        for g, _, form in group:
-            reps.setdefault(next(forms) if form is None else form, g)
-        out.append(tuple(reps[form] for form in sorted(reps)))
-    return out
-
-
-def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateClass]:
-    """Group graphs of one fixed order by spectrum key, one representative
-    per isomorphism class, classes sorted by key and members by canonical
-    form."""
-    return _mate_classes(_keyed_pool(graphs, alpha))
+    complement polynomial: the members of the classes, two or more, that
+    share a graph polynomial, ordered by canonical form. The classes come
+    sorted by key, so those sharing a polynomial are adjacent; graphs with
+    different keys are never isomorphic, so no member needs dedup."""
+    runs = (list(run) for _, run in groupby(classes, lambda cls: cls.key.poly))
+    groups = [[g for cls in run for g in cls.members] for run in runs if len(run) > 1]
+    members = [g for grp in groups for g in grp]
+    form = dict(zip(members, _forms(members)))
+    return [tuple(sorted(grp, key=form.__getitem__)) for grp in groups]
 
 
 def build_U(g: Graph, h: Graph, alpha: AlphaParam) -> OrthogonalCertificate:
@@ -213,7 +189,6 @@ class VerificationReport:
     verdicts: tuple[tuple[str, Verdict], ...]  # (graph6, verdict) per member
     pair_checks: tuple[PairCheck, ...]
     skipped_singular_pairs: int
-    plain_only_groups: tuple[tuple[str, ...], ...]
     counterexamples: tuple[str, ...]
 
     @property
@@ -282,8 +257,7 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
     checked on every worker of numtheory._ordered_map, and their results
     joined in class order."""
     pool = list(graphs)
-    keyed = _keyed_pool(pool, alpha)
-    classes = tuple(_mate_classes(keyed))
+    classes = tuple(find_mate_classes(pool, alpha))
     verdicts: list[tuple[str, Verdict]] = []
     counterexamples: list[str] = []
     pair_checks: list[PairCheck] = []
@@ -294,12 +268,10 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
         counterexamples += part[1]
         pair_checks += part[2]
         skipped += part[3]
-    plain = tuple(tuple(encode_graph6(g) for g in grp)
-                  for grp in _plain_only_classes(keyed))
     return VerificationReport(
         alpha=alpha, graph_count=len(pool), classes=classes,
         verdicts=tuple(verdicts), pair_checks=tuple(pair_checks),
-        skipped_singular_pairs=skipped, plain_only_groups=plain,
+        skipped_singular_pairs=skipped,
         counterexamples=tuple(counterexamples))
 
 
@@ -343,7 +315,8 @@ def verification_to_json(report: VerificationReport) -> dict:
         "nontrivial_classes": list(report.nontrivial_classes),
         "pair_checks": pairs,
         "skipped_singular_pairs": report.skipped_singular_pairs,
-        "plain_only_groups": [list(grp) for grp in report.plain_only_groups],
+        "plain_only_groups": [[encode_graph6(g) for g in grp]
+                              for grp in _plain_only_classes(report.classes)],
         "counterexamples": list(report.counterexamples),
         "ok": report.ok,
     }

@@ -347,7 +347,12 @@ def test_verify_theorem_clean(capsys):
      "95a2fde0cfca58d3732653b4fb0b87976e2bcdd9c4c6a448fa83e92bb2d25545"),
     (("verify-theorem", "--n", "7", "--alpha", "1/2", "--output", "json"),
      "be7122714011ae40562ae9d9de6db8c7ecd8749a0dabfece6fc05ec0e9284782"),
-], ids=["mates", "verify-theorem"])
+    # at alpha = 0 the JSON lists 35 plain-only groups, which the table omits
+    (("verify-theorem", "--n", "7", "--alpha", "0", "--output", "json"),
+     "daecaf954f52eabe6a7c8e9e3e421fbddbb03d83223fe7dcf83c78cc8b75800e"),
+    (("verify-theorem", "--n", "7", "--alpha", "0"),
+     "716b459cdad233e3ba925e33b25419d1f6ec6a8c52f7c0d5e47bb386bf5b896e"),
+], ids=["mates", "verify-theorem", "verify-theorem-0-json", "verify-theorem-0-table"])
 def test_order_7_output_bytes_are_pinned(capsys, argv, sha256):
     code, out, _ = _run(capsys, *argv)
     assert code == EXIT_CERTIFIED

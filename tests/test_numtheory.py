@@ -535,18 +535,28 @@ def test_a_failed_fork_leaves_every_curve_here(monkeypatch):
 @needs_fork
 def test_a_curve_that_fails_in_a_worker_raises_here(monkeypatch):
     """A worker that dies before sending its result ends the search with an
-    error: the parent neither waits for it nor returns a factor."""
+    error, and one whose curve raises ends it with that exception: the
+    parent neither waits for it nor returns a factor."""
     monkeypatch.setattr(numtheory, "_workers", lambda: 2)
     parent = os.getpid()
     real = numtheory._ecm_curve
+
+    def dies_there(m, sigma, plan):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(m, sigma, plan)
 
     def fails_there(m, sigma, plan):
         if os.getpid() != parent:
             raise ZeroDivisionError("curve failed")
         return real(m, sigma, plan)
 
-    monkeypatch.setattr(numtheory, "_ecm_curve", fails_there)
+    monkeypatch.setattr(numtheory, "_ecm_curve", dies_there)
     with _deadline(60), pytest.raises(RuntimeError, match="ECM worker 1 stopped"):
+        factorize(_two_20_digit_primes())
+    _assert_no_children()
+    monkeypatch.setattr(numtheory, "_ecm_curve", fails_there)
+    with _deadline(60), pytest.raises(ZeroDivisionError, match="curve failed"):
         factorize(_two_20_digit_primes())
     _assert_no_children()
 
@@ -678,10 +688,15 @@ def test_no_worker_outlives_the_map(monkeypatch):
 
 @needs_fork
 def test_a_failure_in_a_worker_raises_here(monkeypatch):
-    """A worker whose function raises, or that dies, ends the map with an
-    error: the caller neither waits for it nor returns a partial list."""
+    """A worker whose function raises ends the map with that exception, as
+    at one worker; one that dies, or whose exception does not pickle, ends
+    it with RuntimeError. The caller neither waits for the worker nor
+    returns a partial list."""
     monkeypatch.setattr(numtheory, "_workers", lambda: 2)
     parent = os.getpid()
+
+    class Local(Exception):
+        """Pickled by name, which a class local to a function has not."""
 
     def fails_there(x):
         if os.getpid() != parent and x == 5:
@@ -693,15 +708,19 @@ def test_a_failure_in_a_worker_raises_here(monkeypatch):
             os._exit(3)
         return x
 
-    with _deadline(60), pytest.raises(RuntimeError) as failed:
+    def fails_unpicklably_there(x):
+        if os.getpid() != parent and x == 5:
+            raise Local("item failed")
+        return x
+
+    with _deadline(60), pytest.raises(ZeroDivisionError, match="^item failed$"):
         list(numtheory._ordered_map(fails_there, list(range(20)), "test"))
     _assert_no_children()
-    assert str(failed.value).startswith("test worker 1 stopped before item 5; Traceback")
-    assert str(failed.value).endswith("ZeroDivisionError: item failed\n")
-    with _deadline(60), pytest.raises(
-            RuntimeError, match="^test worker 1 stopped before item 5; it sent no error"):
-        list(numtheory._ordered_map(dies_there, list(range(20)), "test"))
-    _assert_no_children()
+    for fn in (dies_there, fails_unpicklably_there):
+        with _deadline(60), pytest.raises(
+                RuntimeError, match="^test worker 1 stopped before item 5; it sent no error$"):
+            list(numtheory._ordered_map(fn, list(range(20)), "test"))
+        _assert_no_children()
 
 
 @needs_fork

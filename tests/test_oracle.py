@@ -110,7 +110,7 @@ def test_grouping_matches_canonicalizing_every_graph(alpha):
     plain = [tuple(g for _, _, g in sorted(grp, key=lambda t: t[0]))
              for _, grp in sorted(by_poly.items())
              if len({key for _, key, _ in grp}) > 1]
-    assert oracle._plain_only_classes(oracle._keyed_pool(pool, alpha)) == plain
+    assert oracle._plain_only_classes(find_mate_classes(pool, alpha)) == plain
 
 
 def test_find_mate_classes_validation():
@@ -127,7 +127,7 @@ def test_plain_cospectral_only_star_and_cycle():
     star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     cycle_plus = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
     groups = oracle._plain_only_classes(
-        oracle._keyed_pool(enumerate_graphs(5), ALPHA_ZERO))
+        find_mate_classes(enumerate_graphs(5), ALPHA_ZERO))
     wanted = {canonical_form(star), canonical_form(cycle_plus)}
     assert any(wanted <= {canonical_form(g) for g in grp} for grp in groups)
     # as a full mate class they are separated, so neither counts as a mate
@@ -265,10 +265,10 @@ def test_verify_theorem_exercises_pair_checks():
 
 def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
     # keys come from one pass over the pool, canonical forms only for the
-    # graphs that share a key or a plain-only polynomial, and each graph's
-    # walk matrix is built once, for its verdict and, in a mate pair, for
-    # its certificate and Smith divisors; each graph is encoded once, for
-    # its verdict, and the certificate and JSON reuse that name
+    # graphs that share a key, and each graph's walk matrix is built once,
+    # for its verdict and, in a mate pair, for its certificate and Smith
+    # divisors; each graph is encoded once, for its verdict, and the
+    # certificate and JSON reuse that name
     import walkspec.criterion as criterion
     import walkspec.oracle as oracle
     calls = {"spectrum_key": 0, "canonical_form": 0, "walk_matrix": 0,
@@ -303,6 +303,18 @@ def test_verify_theorem_computes_per_graph_work_once(monkeypatch):
                      "encode_graph6": len(pool)}
     assert [cls["members"] for cls in payload["classes"]] == \
         [[encode_graph6(g) for g in cls.members] for cls in report.classes]
+    # the 4-star and the 4-cycle plus an isolate share the plain polynomial
+    # under different keys: the report computes no form for them, and the
+    # JSON writer computes both, to order their plain-only group
+    star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    cycle_plus = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    calls["canonical_form"] = 0
+    report = verify_theorem([star, cycle_plus], ALPHA_ZERO)
+    assert calls["canonical_form"] == 0
+    payload = verification_to_json(report)
+    assert calls["canonical_form"] == 2
+    assert payload["plain_only_groups"] == [
+        [encode_graph6(g) for g in sorted((star, cycle_plus), key=canonical_form)]]
 
 
 def test_mate_search_does_not_depend_on_worker_count(monkeypatch):
@@ -324,6 +336,33 @@ def test_mate_search_does_not_depend_on_worker_count(monkeypatch):
     assert outs[1] == outs[0] and outs[2] == outs[0]
     assert outs[0][0]["nontrivial_classes"] and outs[0][0]["ok"]
     assert len(outs[0][1]) < len(pool) - 250  # the duplicates were merged
+
+
+def test_a_certificate_error_keeps_its_type_at_every_worker_count(monkeypatch):
+    """A CertificateError raised while a worker checks a class reaches the
+    caller of verify_theorem as itself, as it does with one worker."""
+    mates8 = (FIXTURES.parent / "perfbench" / "data" / "mates8_alpha_1-2.g6").read_text()
+    pool = [parse_graph6(line) for line in mates8.split()]
+    # batch t of classes is checked in worker t mod k; only the classes
+    # that both 2 and 3 workers leave to a child fail
+    classes = find_mate_classes(pool, ALPHA_HALF)
+    in_child = {encode_graph6(g) for i, cls in enumerate(classes)
+                if i // oracle._PER_BATCH % 2 and i // oracle._PER_BATCH % 3
+                for g in cls.members}
+    real = oracle._certificate
+
+    def fails(g, h, wg, wh, alpha, source, target):
+        if source in in_child:
+            raise CertificateError("certificate is not orthogonal")
+        return real(g, h, wg, wh, alpha, source, target)
+
+    monkeypatch.setattr(oracle, "_certificate", fails)
+
+    def check():
+        with pytest.raises(CertificateError, match="^certificate is not orthogonal$"):
+            verify_theorem(pool, ALPHA_HALF)
+
+    at_each_worker_count(monkeypatch, check)
 
 
 def test_verification_json_shape():

@@ -188,7 +188,6 @@ class CriterionReport:
     factorization_complete: bool
     prime_ranks: tuple[tuple[int, int], ...]  # (p, rank mod p) for odd p | c_alpha
     connected: bool
-    verdict: Verdict
     walk: IntMatrix = field(repr=False, compare=False)  # normalized W
 
     @property
@@ -200,19 +199,35 @@ class CriterionReport:
                 and self.is_square_free is True
                 and all(r == self.n for _, r in self.prime_ranks))
 
+    @property
+    def verdict(self) -> Verdict:
+        """Read off the facts, first match wins: small order, singular walk
+        matrix, an unfinished factorization (of an odd reduced determinant,
+        the only one factored), the arithmetic criterion failing, the
+        even-order/odd-c exclusion, and else certified."""
+        c = self.alpha.c_alpha
+        if self.n < 5:
+            return Verdict.SMALL_ORDER
+        if self.det_walk == 0:
+            return Verdict.SINGULAR_WALK_MATRIX
+        if not self.factorization_complete:
+            return Verdict.UNDECIDED_FACTORIZATION
+        if not self.arithmetic_ok:
+            return Verdict.FAILS_ARITHMETIC
+        if self.n % 2 == 0 and c % 2 == 1 and c >= 3:
+            return Verdict.EXCLUDED_CASE
+        return Verdict.CERTIFIED_DGAS
+
 
 def criterion_check(g: Graph, alpha: AlphaParam, *,
                     factor_effort: int = numtheory.DEFAULT_FACTOR_EFFORT
                     ) -> CriterionReport:
-    """Decide determination-by-spectrum for one graph at one alpha.
-
-    Verdict precedence: small order, then singular walk matrix, then the
-    arithmetic tests (with an undecided escape when the factorization
-    budget expires), then the even-order/odd-c exclusion, then certified.
-    """
+    """The facts that decide determination-by-spectrum for one graph at one
+    alpha; the report's verdict is read off them (CriterionReport.verdict).
+    Only an odd reduced determinant is factored, and a factorization that
+    runs out of effort leaves factorization_complete False."""
     w = walk_matrix(g, alpha)
     n = g.n
-    c = alpha.c_alpha
     det = det_bareiss(w)
     reduced = Fraction(det, 2 ** (n // 2))
     integral = reduced.denominator == 1
@@ -231,35 +246,16 @@ def criterion_check(g: Graph, alpha: AlphaParam, *,
             complete = False
     ranks = tuple((p, n if det % p else rank_mod_p(w, p))  # rank < n only if p | det
                   for p in alpha.odd_primes)
-
-    if n < 5:
-        verdict = Verdict.SMALL_ORDER
-    elif det == 0:
-        verdict = Verdict.SINGULAR_WALK_MATRIX
-    elif not integral or not odd:
-        verdict = Verdict.FAILS_ARITHMETIC
-    elif not complete:
-        verdict = Verdict.UNDECIDED_FACTORIZATION
-    elif not square_free:
-        verdict = Verdict.FAILS_ARITHMETIC
-    elif any(r < n for _, r in ranks):
-        verdict = Verdict.FAILS_ARITHMETIC
-    elif n % 2 == 0 and c % 2 == 1 and c >= 3:
-        verdict = Verdict.EXCLUDED_CASE
-    else:
-        verdict = Verdict.CERTIFIED_DGAS
-
     return CriterionReport(
         n=n, alpha=alpha, det_walk=det, reduced=reduced,
         reduced_integral=integral, is_odd=odd, is_square_free=square_free,
         square_witness=witness, factorization=factors,
         factorization_complete=complete, prime_ranks=ranks,
-        connected=is_connected(g), verdict=verdict, walk=w)
+        connected=is_connected(g), walk=w)
 
 
 def report_to_json(report: CriterionReport) -> dict:
     """Flat JSON-ready dict; big integers as decimal strings."""
-    red = report.reduced
     return {
         "schema": 1,
         "n": report.n,
@@ -267,7 +263,7 @@ def report_to_json(report: CriterionReport) -> dict:
         "c_alpha": report.alpha.c_alpha,
         "verdict": report.verdict.value,
         "det_walk": str(report.det_walk),
-        "reduced": str(red.numerator) if red.denominator == 1 else str(red),
+        "reduced": str(report.reduced),  # an integral Fraction prints bare
         "reduced_integral": report.reduced_integral,
         "is_odd": report.is_odd,
         "is_square_free": report.is_square_free,

@@ -303,10 +303,9 @@ def canonical_form(g: Graph) -> bytes:
 
 
 _enum_cache: dict[int, tuple[bytes, ...]] = {}
-# parents per batch of the enumeration map, and the fewest it forks for:
+# parents per batch of the enumeration map, about the cost of a fork:
 # extending an order-6 parent takes about 0.7 ms, an order-5 one 0.35 ms
 _PARENTS_PER_BATCH = 4
-_MIN_PARENTS = 64
 
 
 def _extensions(form: bytes) -> set[bytes]:
@@ -350,7 +349,7 @@ def _representatives(n: int) -> tuple[bytes, ...]:
             parents = _representatives(n - 1)
             found: set[bytes] = set()
             for forms in _ordered_map(_extensions, parents, "enumeration",
-                                      _PARENTS_PER_BATCH, _MIN_PARENTS):
+                                      _PARENTS_PER_BATCH):
                 found |= forms
             _enum_cache[n] = tuple(sorted(found))
     return _enum_cache[n]

@@ -381,13 +381,18 @@ def _call_inside(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         _inside = outer
 
 
+class _RemoteTraceback(Exception):
+    """The traceback text of an exception raised in a worker, set as its
+    __cause__ where the map raises it."""
+
+
 def _worker(fn: Callable[[_T], _R], batches: Iterable[Sequence[_T]], out: int,
             inherited: list[int]) -> NoReturn:
     """Body of a forked worker: writes one pickled list of results per batch
-    to fd out, or, when fn raises, the exception if it pickles, and stops.
-    It first closes the read ends of every pipe, so a write fails once the
-    caller is gone, and it leaves only by os._exit, so it never flushes the
-    buffers or runs the clean-up it copied from the caller."""
+    to fd out, or, when fn raises, (the exception, its traceback text) if
+    that pickles, and stops. It first closes the read ends of every pipe, so
+    a write fails once the caller is gone, and it leaves only by os._exit,
+    so it never flushes the buffers or runs the clean-up it copied."""
     import pickle
 
     try:
@@ -396,15 +401,16 @@ def _worker(fn: Callable[[_T], _R], batches: Iterable[Sequence[_T]], out: int,
         with os.fdopen(out, "wb") as f:
             for batch in batches:
                 try:
-                    results: list | Exception = _call_inside(fn, batch)
+                    results: list | tuple = _call_inside(fn, batch)
                 except Exception as exc:
-                    results = exc
+                    import traceback  # only a failing worker pays for it
+                    results = (exc, traceback.format_exc())
                 try:
                     f.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
                 except Exception:  # the caller reports that nothing was sent
                     break
                 f.flush()
-                if isinstance(results, Exception):
+                if isinstance(results, tuple):
                     break
     finally:
         os._exit(0)
@@ -426,14 +432,14 @@ def _stop_workers(pids: list[int], readers: list[BinaryIO]) -> None:
 
 
 def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
-                 batch: int = 1, min_items: int = 2) -> Iterator[_R]:
+                 batch: int = 1) -> Iterator[_R]:
     """Yield fn(item) for every item, in item order, computed on up to
     _workers() processes.
 
     The items are cut into batches of `batch` consecutive items, and batch t
     runs in worker t mod k. k is _workers(), but no more than the batches,
-    and 1 when there are fewer than min_items items, too few to pay for a
-    fork (a fork and reap costs about 3 ms). Worker 0 is this process. The
+    so a map of one batch forks nothing; each caller makes a batch worth
+    at least a fork and reap, about 3 ms. Worker 0 is this process. The
     others are children forked when the map starts, so they see fn and the
     items as they are then; each draws the items itself, from its copy of
     the iterator, so they are never held whole, and streams its batches'
@@ -447,7 +453,8 @@ def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
     reading early, and must then close() the generator. When it is closed
     or finished, or fn raises here, every child is killed and reaped, so no
     child outlives the map. When fn raises in a child, the map raises that
-    exception, as at k = 1, once it reaches that child's batch, or
+    exception, as at k = 1, once it reaches that child's batch, with the
+    child's traceback text as its __cause__, or
     RuntimeError naming `label` when the child died or its exception does
     not pickle; it never waits on a dead child and yields nothing past the
     last whole batch. A fork or pipe that fails stops the children already
@@ -458,10 +465,8 @@ def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
     """
     it = iter(items)
     batches = iter(lambda: list(islice(it, batch)), [])  # ends at the empty batch
-    # the batches that decide k: one per worker, and min_items items
-    workers = _workers()
-    head = list(islice(batches, max(workers, -(-min_items // batch))))
-    k = min(workers, len(head)) if sum(map(len, head)) >= min_items else 1
+    head = list(islice(batches, _workers()))  # the batches that decide k
+    k = len(head)
     batches = chain(head, batches)
     pids: list[int] = []
     readers: list[BinaryIO] = []
@@ -493,8 +498,8 @@ def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
                 except Exception:  # a dead child, or an error that does not unpickle
                     raise RuntimeError(f"{label} worker {t % k} stopped before "
                                        f"item {t * batch}; it sent no error")
-                if isinstance(results, Exception):
-                    raise results
+                if isinstance(results, tuple):  # (exception, traceback text)
+                    raise results[0] from _RemoteTraceback(results[1])
             yield from results
     finally:
         _stop_workers(pids, readers)
@@ -503,24 +508,23 @@ def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
 def _ecm(m: int, budget: list[int], done: list[int]) -> int:
     """Nontrivial divisor of odd composite m by Lenstra's elliptic-curve
     method, over the curves of _ecm_curves(m, budget[0], done[0]), run by
-    _ordered_map. The results are taken in curve order: each curve's units
-    are charged to budget[0] and the curve counted in done[0] before the
-    next result is read, and the first proper divisor is returned, so the
-    divisor, the charge and the budget error are those of running every
-    curve here, at every worker count. Raises FactorizationBudgetError when
-    the budget pays for no further curve, and RuntimeError when a worker
-    stops early."""
-    curves = _ecm_curves(m, budget[0], done[0])
-    gcds = _ordered_map(lambda curve: _ecm_curve(m, curve[1], curve[0]),
-                        _ecm_curves(m, budget[0], done[0]), "ECM")
+    _ordered_map, each returning its units and its gcd. The results are
+    taken in curve order: each curve's units are charged to budget[0] and
+    the curve counted in done[0] before the next result is read, and the
+    first proper divisor is returned, so the divisor, the charge and the
+    budget error are those of running every curve here, at every worker
+    count. Raises FactorizationBudgetError when the budget pays for no
+    further curve, and RuntimeError when a worker stops early."""
+    results = _ordered_map(lambda curve: (curve[0].units, _ecm_curve(m, curve[1], curve[0])),
+                           _ecm_curves(m, budget[0], done[0]), "ECM")
     try:
-        for (plan, _), g in zip(curves, gcds):
-            budget[0] -= plan.units
+        for units, g in results:
+            budget[0] -= units
             done[0] += 1
             if 1 < g < m:
                 return g
     finally:
-        gcds.close()
+        results.close()
     raise FactorizationBudgetError(
         f"effort cap hit while splitting a {len(str(m))}-digit composite")
 

@@ -59,19 +59,17 @@ class OrthogonalCertificate:
     target: str  # graph6 of the target graph
 
 
-# Batches of a per-graph map, and the fewest graphs (or classes) it forks
-# for: at order 7 a spectrum key, or a class check, takes 0.1-0.3 ms and a
-# canonical form about 0.05 ms, against about 3 ms for a fork.
+# graphs (or classes) per batch of a per-graph map, about the cost of a
+# fork (3 ms): at order 7 a spectrum key, or a class check, takes 0.1-0.3 ms
+# and a canonical form about 0.05 ms, so forms go 4 * _PER_BATCH a batch
 _PER_BATCH = 16
-_MIN_GRAPHS = 128
-_MIN_FORMS = 512
 
 
 def _forms(graphs: Sequence[Graph]) -> Iterator[bytes]:
     """The canonical form of each graph, all computed before the first is
     read."""
     return iter(list(_ordered_map(canonical_form, graphs, "canonical form",
-                                  4 * _PER_BATCH, _MIN_FORMS)))
+                                  4 * _PER_BATCH)))
 
 
 def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateClass]:
@@ -93,7 +91,7 @@ def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateCl
     if n > CANONICAL_CAP:
         raise PoolError(f"mate search supports at most {CANONICAL_CAP} vertices")
     keys = list(_ordered_map(lambda g: spectrum_key(g, alpha), pool,
-                             "spectrum key", _PER_BATCH, _MIN_GRAPHS))
+                             "spectrum key", _PER_BATCH))
     shared = Counter(keys)
     forms = _forms([g for g, key in zip(pool, keys) if shared[key] > 1])
     groups: dict[SpectrumKey, dict[bytes | None, Graph]] = {}
@@ -263,7 +261,7 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
     pair_checks: list[PairCheck] = []
     skipped = 0
     for part in _ordered_map(lambda cls: _check_class(cls, alpha, factor_effort),
-                             classes, "class check", _PER_BATCH, _MIN_GRAPHS):
+                             classes, "class check", _PER_BATCH):
         verdicts += part[0]
         counterexamples += part[1]
         pair_checks += part[2]

@@ -3,7 +3,11 @@
 import hashlib
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -686,3 +690,19 @@ def test_help_returns_from_main(capsys):
         assert code == 0, argv
         assert out.startswith("usage: walkspec"), argv
         assert err == "", argv
+
+
+def test_start_up_imports_no_worker_machinery():
+    """Importing the command line imports nothing that only a forked, failed
+    or stopped worker map needs: measured against a bare interpreter, it
+    adds none of these modules to sys.modules."""
+    lazy = {"pickle", "signal", "traceback", "concurrent.futures",
+            "multiprocessing", "subprocess"}
+    code = ("import sys; bare = set(sys.modules); import walkspec.cli; "
+            "print(*sorted(set(sys.modules) - bare))")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "walkspec.cli" in added
+    assert [m for m in added if any(m == x or m.startswith(x + ".") for x in lazy)] == []

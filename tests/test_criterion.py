@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -368,7 +369,12 @@ def test_report_json_shape():
     assert payload["factorization"] == [["5", 1], ["13", 1], ["229", 1]]
     assert json.loads(json.dumps(payload)) == payload
     # a fractional reduced value renders as a fraction string
+    half = replace(report, reduced=Fraction(-14885, 2), reduced_integral=False,
+                   is_odd=False)
+    assert report_to_json(half)["reduced"] == "-14885/2"
+    assert report_to_json(half)["verdict"] == "FAILS_ARITHMETIC"
     c5 = parse_graph6("DqK")
     zero = report_to_json(criterion_check(c5, ALPHA_ZERO))
     assert zero["verdict"] == "SINGULAR_WALK_MATRIX"
     assert zero["det_walk"] == "0"
+    assert zero["reduced"] == "0"

@@ -9,7 +9,7 @@ import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import prod
 
 import pytest
@@ -17,13 +17,14 @@ import pytest
 from conftest import reference_factorize, reference_sieve
 from walkspec import numtheory
 from walkspec.criterion import AlphaParam, criterion_check, report_to_json
-from walkspec.graphs import parse_graph6
+from walkspec.graphs import canonical_form, enumerate_graphs, parse_graph6
 from walkspec.numtheory import (
     RHO_SHARE,
     FactorizationBudgetError,
     factorize,
     is_probable_prime,
 )
+from walkspec.oracle import find_mate_classes
 
 SIEVE_LIMIT = 1_000_000
 
@@ -648,15 +649,29 @@ def test_ordered_map_runs_item_t_in_worker_t_mod_k(monkeypatch):
 
 
 @needs_fork
-def test_ordered_map_forks_nothing_below_min_items(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked for too few items")
-
+def test_ordered_map_forks_only_for_more_than_one_batch(monkeypatch):
+    """A map of one batch, or of none, runs here, and so do both maps of a
+    mate search over 16 graphs, one batch of keys and one of forms; a map
+    of two batches runs on two processes."""
     monkeypatch.setattr(numtheory, "_workers", lambda: 3)
+    pool = list(islice(enumerate_graphs(5), 8)) * 2  # every key shared
+    real_fork = os.fork
+
+    def no_fork():
+        raise AssertionError("forked for one batch")
+
     monkeypatch.setattr(os, "fork", no_fork)
-    out = list(numtheory._ordered_map(_where, list(range(9)), "test", 1, 10))
+    out = list(numtheory._ordered_map(_where, list(range(9)), "test", 9))
     assert out == [(x * x, os.getpid()) for x in range(9)]
     assert list(numtheory._ordered_map(_where, [], "test")) == []
+    classes = find_mate_classes(pool, AlphaParam(0, 1))
+    assert sorted(canonical_form(g) for cls in classes for g in cls.members) \
+        == sorted(map(canonical_form, pool[:8]))
+    monkeypatch.setattr(os, "fork", real_fork)
+    out = list(numtheory._ordered_map(_where, list(range(10)), "test", 9))
+    assert [sq for sq, _ in out] == [x * x for x in range(10)]
+    assert len({pid for _, pid in out}) == 2
+    _assert_no_children()
 
 
 @needs_fork
@@ -689,17 +704,17 @@ def test_no_worker_outlives_the_map(monkeypatch):
 @needs_fork
 def test_a_failure_in_a_worker_raises_here(monkeypatch):
     """A worker whose function raises ends the map with that exception, as
-    at one worker; one that dies, or whose exception does not pickle, ends
-    it with RuntimeError. The caller neither waits for the worker nor
-    returns a partial list."""
+    at one worker, its cause carrying the worker's traceback; one that dies,
+    or whose exception does not pickle, ends it with RuntimeError. The
+    caller neither waits for the worker nor returns a partial list."""
     monkeypatch.setattr(numtheory, "_workers", lambda: 2)
     parent = os.getpid()
 
     class Local(Exception):
         """Pickled by name, which a class local to a function has not."""
 
-    def fails_there(x):
-        if os.getpid() != parent and x == 5:
+    def fails_there(x):  # at k = 2, item 5 runs in worker 1
+        if x == 5:
             raise ZeroDivisionError("item failed")
         return x
 
@@ -713,9 +728,17 @@ def test_a_failure_in_a_worker_raises_here(monkeypatch):
             raise Local("item failed")
         return x
 
-    with _deadline(60), pytest.raises(ZeroDivisionError, match="^item failed$"):
+    with _deadline(60), pytest.raises(ZeroDivisionError, match="^item failed$") as there:
         list(numtheory._ordered_map(fails_there, list(range(20)), "test"))
     _assert_no_children()
+    # the child's traceback comes along as the cause; here there is none
+    assert "fails_there" in str(there.value.__cause__)
+    assert "ZeroDivisionError: item failed" in str(there.value.__cause__)
+    monkeypatch.setattr(numtheory, "_workers", lambda: 1)
+    with pytest.raises(ZeroDivisionError, match="^item failed$") as here:
+        list(numtheory._ordered_map(fails_there, list(range(20)), "test"))
+    assert here.value.__cause__ is None
+    monkeypatch.setattr(numtheory, "_workers", lambda: 2)
     for fn in (dies_there, fails_unpicklably_there):
         with _deadline(60), pytest.raises(
                 RuntimeError, match="^test worker 1 stopped before item 5; it sent no error$"):

@@ -154,7 +154,9 @@ def is_probable_prime(x: int) -> bool:
 
 def _brent_rho(m: int, budget: list[int]) -> int:
     """Nontrivial divisor of odd composite m, Brent's cycle variant with
-    batched gcds. Decrements budget[0] per f-evaluation; raises when spent."""
+    batched gcds. Charges each round before squaring it, one unit of
+    budget[0] per f-evaluation, and raises when the charge leaves budget[0]
+    negative, so a round the budget cannot pay for is never squared."""
     rng = random.Random(m ^ _SEED_SALT)
     while True:
         y = rng.randrange(1, m)
@@ -166,13 +168,13 @@ def _brent_rho(m: int, budget: list[int]) -> int:
         ys = y
         while g == 1:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % m
             budget[0] -= r
             if budget[0] < 0:
                 raise FactorizationBudgetError(
                     f"effort cap hit while splitting a {len(str(m))}-digit composite"
                 )
+            for _ in range(r):
+                y = (y * y + c) % m
             k = 0
             while k < r and g == 1:
                 ys = y
@@ -355,15 +357,15 @@ def _ecm_curves(m: int, budget: int, done: int) -> Iterator[tuple[_EcmPlan, int]
         yield plan, rng.randrange(6, m - 1)
 
 
-_inside = False  # True while a mapped function runs, here or in a worker
+_inside = False  # True while a map on two or more processes runs fn, in any of them
 
 
 def _workers() -> int:
     """Processes to spread an _ordered_map over: one per CPU this process
-    may run on, or 1 inside a mapped function, so workers never nest, and 1
-    where os.fork or os.sched_getaffinity is missing or another thread is
-    alive, since a forked child keeps only the forking thread, and a lock
-    another thread held stays taken in it."""
+    may run on, or 1 inside the function of a map on two or more processes,
+    so workers never nest, and 1 where os.fork or os.sched_getaffinity is
+    missing or another thread is alive, since a forked child keeps only the
+    forking thread, and a lock another thread held stays taken in it."""
     if (_inside or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
@@ -371,8 +373,8 @@ def _workers() -> int:
 
 
 def _call_inside(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-    """[fn(item) for item in items], run as a mapped function: _workers()
-    reads 1 meanwhile."""
+    """[fn(item) for item in items], run as the function of a map on two or
+    more processes: _workers() reads 1 meanwhile."""
     global _inside
     outer, _inside = _inside, True
     try:
@@ -446,18 +448,21 @@ def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
     results back through a pipe, pickled, as it finishes them. This process
     takes the batches in order, running its own as it reaches them and
     reading the others', so what it yields is the same at every k. With
-    k = 1 nothing is forked or pickled, and fn runs on each item here.
+    k = 1 nothing is forked or pickled, and fn runs on each item here, as
+    the caller draws it.
 
-    Inside fn, here or in a child, _workers() reads 1, so workers never
-    nest: a map or an ECM that fn reaches forks nothing. The caller may stop
-    reading early, and must then close() the generator. When it is closed
-    or finished, or fn raises here, every child is killed and reaped, so no
-    child outlives the map. When fn raises in a child, the map raises that
-    exception, as at k = 1, once it reaches that child's batch, with the
-    child's traceback text as its __cause__, or
-    RuntimeError naming `label` when the child died or its exception does
-    not pickle; it never waits on a dead child and yields nothing past the
-    last whole batch. A fork or pipe that fails stops the children already
+    Inside fn, _workers() reads 1 only when the map runs on two or more
+    processes, here and in every child, so workers never nest: a map or an
+    ECM that fn reaches then forks nothing. At k = 1, fn runs as if the
+    caller called it, so a map of one batch leaves a map or an ECM that fn
+    reaches free to fork. The caller may stop reading early, and must then
+    close() the generator. When it is closed or finished, or fn raises
+    here, every child is killed and reaped, so no child outlives the map.
+    When fn raises in a child, the map raises that exception, as at k = 1,
+    once it reaches that child's batch, with the child's traceback text as
+    its __cause__, or RuntimeError naming `label` when the child died or
+    its exception does not pickle; it never waits on a dead child and
+    yields nothing past the last whole batch. A fork or pipe that fails stops the children already
     forked, and every batch runs here, with the same results. fn and the
     items must not rely on state changed after the fork, the results must
     pickle, and the caller runs one map at a time, since a child forked
@@ -489,6 +494,9 @@ def _ordered_map(fn: Callable[[_T], _R], items: Iterable[_T], label: str,
                 # no process or pipe to spare: every batch runs here
                 _stop_workers(pids, readers)
                 k = 1
+        if k == 1:
+            yield from map(fn, chain.from_iterable(batches))
+            return
         for t, part in enumerate(batches):
             if t % k == 0:
                 results = _call_inside(fn, part)

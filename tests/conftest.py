@@ -465,9 +465,11 @@ def reference_sieve() -> tuple[list[int], list[int]]:
 
 # The trial-division + Brent rho factorization that ran before ECM was added,
 # kept verbatim (names aside) as the reference that ECM's results must match.
+# Its rho, which squared each round before charging it, is also the
+# reference for the rho that charges a round first.
 
 
-def _reference_brent_rho(m: int, budget: list[int]) -> int:
+def reference_brent_rho(m: int, budget: list[int]) -> int:
     """Nontrivial divisor of odd composite m, Brent's cycle variant with
     batched gcds. Decrements budget[0] per f-evaluation; raises when spent."""
     rng = random.Random(m ^ _SEED_SALT)
@@ -533,7 +535,7 @@ def reference_factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Facto
             if mcand <= TRIAL_LIMIT or is_probable_prime(mcand):
                 counts[mcand] = counts.get(mcand, 0) + 1
                 continue
-            d = _reference_brent_rho(mcand, budget)
+            d = reference_brent_rho(mcand, budget)
             pending.append(d)
             pending.append(mcand // d)
     return Factorization(x, tuple(sorted(counts.items())))

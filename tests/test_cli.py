@@ -123,12 +123,16 @@ def test_batch_mixed_file(capsys, tmp_path):
                                    "SMALL_ORDER": 1}
 
 
+# every line boundary of str.splitlines, blank lines and an error line
+SPLITLINES_TEXT = ("Bw\x0bDqK\x0c\x0cnot-a-graph\x1cE@Uw\x1d\x1eC~\r\n \r\rDqK\n"
+                   "\x85Bw\u2028E@Uw\u2029\nC~")
+
+
 def test_batch_numbers_lines_as_splitlines_does(capsys, monkeypatch):
     """Differential: every line boundary of str.splitlines, vertical tab,
     form feed and the separators 0x1c-0x1e among them, gives the record
     the line number that text.splitlines() gives its line."""
-    text = ("Bw\x0bDqK\x0c\x0cnot-a-graph\x1cE@Uw\x1d\x1eC~\r\n \r\rDqK\n"
-            "\x85Bw\u2028E@Uw\u2029\nC~")
+    text = SPLITLINES_TEXT
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, _ = _run(capsys, "batch", "--alpha", "0", "-")
     assert code == EXIT_FAILED
@@ -170,6 +174,8 @@ def test_batch_holds_no_list_of_its_lines(capsys, tmp_path, monkeypatch):
         return criterion_check(g, alpha, factor_effort=factor_effort)
 
     monkeypatch.setattr(cli, "criterion_check", check)
+    # the calls are counted in this process, so every line must run here
+    monkeypatch.setattr(numtheory, "_workers", lambda: 1)
     tracemalloc.start()
     try:
         with pytest.raises(Enough):
@@ -440,6 +446,16 @@ def test_json_output_is_the_indented_payload(capsys, tmp_path):
 # orders 5-11, one malformed line; every verdict but the excluded ones shows
 BATCH_POOL = ("Di?", "EAFO", "FA]\\O", "GKV}R?", "not-a-graph", "HYIiKbB",
               "IuJssIFGg", "Jp{F]iNjq[?", "HaQP`@~", "JtHs[aBfSd?")
+BATCH_POOL_SHA256 = "125eba0f18dbd238e9f4f3de92a4a63c15017bdc0dde5c4e84e199519dbb802e"
+ORDER_11_POOL_SHA256 = "a1bf66a657e4bd53b8b1bb1a51d6b47c7d298844a3961014b29f03a0c111de3e"
+
+
+def _order_11_pool() -> str:
+    """200 random order-11 graphs, one graph6 line each."""
+    rng = random.Random(1500)
+    pool = [Graph(11, [(i, j) for j in range(11) for i in range(j) if rng.random() < 0.5])
+            for _ in range(200)]
+    return "".join(encode_graph6(g) + "\n" for g in pool)
 
 
 def test_batch_output_bytes_are_pinned(capsys, tmp_path):
@@ -448,19 +464,69 @@ def test_batch_output_bytes_are_pinned(capsys, tmp_path):
     path.write_text("".join(line + "\n" for line in BATCH_POOL))
     code, out, _ = _run(capsys, "batch", "--alpha", "1/2", str(path))
     assert code == EXIT_FAILED
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "125eba0f18dbd238e9f4f3de92a4a63c15017bdc0dde5c4e84e199519dbb802e")
+    assert hashlib.sha256(out.encode()).hexdigest() == BATCH_POOL_SHA256
     # 200 random order-11 graphs at a scan's effort, ten of them undecided;
     # sha256 recorded before trial division stopped at a prime cofactor
-    rng = random.Random(1500)
-    pool = [Graph(11, [(i, j) for j in range(11) for i in range(j) if rng.random() < 0.5])
-            for _ in range(200)]
-    path.write_text("".join(encode_graph6(g) + "\n" for g in pool))
+    path.write_text(_order_11_pool())
     code, out, _ = _run(capsys, "batch", "--effort", "10000", "--alpha", "3/4", str(path))
     assert code == EXIT_CERTIFIED
     assert out.endswith('"UNDECIDED_FACTORIZATION":10}}\n')
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a1bf66a657e4bd53b8b1bb1a51d6b47c7d298844a3961014b29f03a0c111de3e")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_11_POOL_SHA256
+
+
+def test_batch_output_does_not_depend_on_worker_count(capsys, monkeypatch):
+    """The same stdout bytes and exit code at 1, 2 and 3 workers: for
+    BATCH_POOL with its error line and for the text of every line boundary
+    at three lines a batch, so each fills several batches, and for the
+    200-graph order-11 pool at the real batch size."""
+    def batch(text, *argv):
+        def run():
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            return _run(capsys, "batch", *argv, "-")
+        outs = at_each_worker_count(monkeypatch, run)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+        return outs[0][:2]
+
+    pool = batch(_order_11_pool(), "--effort", "10000", "--alpha", "3/4")
+    assert pool[0] == EXIT_CERTIFIED
+    assert hashlib.sha256(pool[1].encode()).hexdigest() == ORDER_11_POOL_SHA256
+    monkeypatch.setattr(cli, "_BATCH_LINES", 3)
+    code, out = batch("".join(line + "\n" for line in BATCH_POOL), "--alpha", "1/2")
+    assert code == EXIT_FAILED
+    assert hashlib.sha256(out.encode()).hexdigest() == BATCH_POOL_SHA256
+    code, out = batch(SPLITLINES_TEXT, "--alpha", "0")
+    assert code == EXIT_FAILED
+    assert [json.loads(ln)["line"] for ln in out.splitlines()[:-1]] == [
+        lineno for lineno, line in enumerate(SPLITLINES_TEXT.splitlines(), 1)
+        if line.strip()]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="no os.fork or os.sched_getaffinity")
+def test_a_one_line_batch_still_forks_ecm(capsys, monkeypatch):
+    """A one-line batch is a map of one batch, which runs its line here as
+    if called directly, so the line's ECM forks its workers as check's
+    does: the order-16 graph's 39-digit cofactor needs ECM at 2/3."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    graph = "OVgwclKjqV@?jdl||L`Lu"
+    assert _run(capsys, "check", "--alpha", "2/3", "--graph", graph)[0] == EXIT_FAILED
+    in_check = len(forks)
+    forks.clear()
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph + "\n"))
+    code, out, _ = _run(capsys, "batch", "--alpha", "2/3", "-")
+    assert code == EXIT_CERTIFIED
+    assert out.endswith('"verdicts":{"FAILS_ARITHMETIC":1}}\n')
+    assert len(forks) == in_check > 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_batch_factors_alpha_denominator_once(capsys, monkeypatch, tmp_path):

@@ -14,7 +14,7 @@ from math import prod
 
 import pytest
 
-from conftest import reference_factorize, reference_sieve
+from conftest import reference_brent_rho, reference_factorize, reference_sieve
 from walkspec import numtheory
 from walkspec.criterion import AlphaParam, criterion_check, report_to_json
 from walkspec.graphs import canonical_form, enumerate_graphs, parse_graph6
@@ -193,6 +193,58 @@ def test_factorize_matches_rho_reference_up_to_rho_share(monkeypatch):
     assert outcomes == {False, True}  # both paths were exercised
 
 
+def _rho_outcome(rho, m, effort):
+    """(rho's divisor of m or its error's message, the budget left, the
+    modular reductions made), at the given effort; a reduction is a `%` by
+    m, counted through the reflected modulo of an int subclass."""
+    reductions = [0]
+
+    class Counted(int):
+        def __rmod__(self, other):
+            reductions[0] += 1
+            return other % int(self)
+
+    budget = [effort]
+    try:
+        out = rho(Counted(m), budget)
+    except FactorizationBudgetError as exc:
+        out = str(exc)
+    return out, budget[0], reductions[0]
+
+
+def test_rho_charges_each_round_before_squaring_it():
+    """An exhausted rho squares none of the round it cannot pay for: at
+    effort 10,000 the round of 8,192 overspends, and skipping its squarings
+    saves 8,192 of the 32,765 reductions that squaring it first made. The
+    error and the budget left are the same."""
+    m = 1000000000039 * 1000000000000000003
+    spent = ("effort cap hit while splitting a 31-digit composite", -6_383)
+    assert _rho_outcome(reference_brent_rho, m, 10_000) == (*spent, 32_765)
+    assert _rho_outcome(numtheory._brent_rho, m, 10_000) == (*spent, 24_573)
+
+
+def test_rho_matches_reference_at_every_round_boundary():
+    """Differential against the rho that squared each round before charging
+    it: on seeded odd composites with no factor below 10^6, at effort 0, 1
+    and 2^j - 1, 2^j, 2^j + 1 (a round ends where the charges reach 2^j - 1)
+    up to past the split, the same divisor, or the same error, and the same
+    budget left."""
+    rng = random.Random(307)
+    outcomes = set()
+    for _ in range(8):
+        m = _random_prime(rng, rng.randint(7, 8)) * _random_prime(rng, rng.randint(7, 15))
+        budget = [1 << 40]
+        reference_brent_rho(m, budget)
+        split = (1 << 40) - budget[0]  # the effort the split takes
+        efforts = [0, 1] + [(1 << j) + d for j in range(1, split.bit_length() + 2)
+                            for d in (-1, 0, 1)]
+        for effort in efforts:
+            expect = _rho_outcome(reference_brent_rho, m, effort)[:2]
+            assert _rho_outcome(numtheory._brent_rho, m, effort)[:2] == expect, (m, effort)
+            outcomes.add(isinstance(expect[0], str))
+    assert outcomes == {False, True}  # both paths were exercised
+
+
 def test_factorize_splits_the_order_16_cofactor():
     """The 39-digit cofactor of an order-16 walk determinant at alpha 2/3;
     rho alone does not split it within the default effort."""
@@ -322,8 +374,8 @@ def test_block_trial_division_matches_per_prime_reference(monkeypatch):
 
     monkeypatch.setattr(numtheory, "_brent_rho", recording(numtheory._brent_rho, "new"))
     reference_globals = reference_factorize.__globals__
-    monkeypatch.setitem(reference_globals, "_reference_brent_rho",
-                        recording(reference_globals["_reference_brent_rho"], "reference"))
+    monkeypatch.setitem(reference_globals, "reference_brent_rho",
+                        recording(reference_globals["reference_brent_rho"], "reference"))
     outcomes = set()
     for x in cases:
         for effort in (0, 10_000, RHO_SHARE):
@@ -787,6 +839,27 @@ def test_the_worker_count_reads_1_inside_a_mapped_function(monkeypatch):
 
     with pytest.raises(ZeroDivisionError):
         list(numtheory._ordered_map(fails, list(range(9)), "test"))
+    _assert_no_children()
+    assert numtheory._workers() == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="no os.fork or os.sched_getaffinity")
+def test_a_map_of_one_batch_leaves_fn_free_to_fork(monkeypatch):
+    """A map of one batch forks nothing and runs fn as if called here, so
+    the count inside fn is the caller's, and a map that fn reaches forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def count(x):
+        return numtheory._workers(), os.getpid()
+
+    out = list(numtheory._ordered_map(count, list(range(9)), "test", 9))
+    assert out == [(3, os.getpid())] * 9
+
+    def inner(x):
+        return {pid for _, pid in numtheory._ordered_map(_where, list(range(3)), "inner")}
+
+    assert [len(pids) for pids in numtheory._ordered_map(inner, [0, 1], "outer", 2)] == [3, 3]
     _assert_no_children()
     assert numtheory._workers() == 3
 

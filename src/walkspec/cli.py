@@ -20,10 +20,12 @@ the parsed alpha.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
 import sys
+from itertools import islice
 from typing import Iterator
 
 from . import numtheory
@@ -222,11 +224,43 @@ def _load_pool(ns: argparse.Namespace) -> list[Graph]:
     return [parse_graph6(ln) for ln in _lines(text) if ln.strip()]
 
 
+# the one JSON encoder: encoded strings hold no raw newline, so a value's
+# text indented at each "\n" is what json.dump(obj, indent=2) writes for it
+# one level down
+_JSON = json.JSONEncoder(indent=2)
+# items of an iterator value per encode: one item per encode spends ~10 ms
+# more per order-7 verify-theorem report (26 against 15 ms), building the
+# pure-Python indent encoder each call; 256 items per encode hold each
+# part's joined chunk list, a traced peak of 0.93-1.08 MB
+_ITEMS_PER_ENCODE = 8
+
+
 def _emit(obj: dict, output: str) -> None:
     if output == "json":
-        # streamed chunk by chunk: the whole text is never held at once
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # json.dump(obj, indent=2), written one top-level value at a time; an
+        # iterator value is written as a list, a part of its items per
+        # encode, so neither the text nor a payload built whole is held
+        write = sys.stdout.write
+        sep = "{"
+        for key, val in obj.items():
+            write(f"{sep}\n  {_JSON.encode(key)}: ")
+            sep = ","
+            if not isinstance(val, Iterator):
+                write(_JSON.encode(val).replace("\n", "\n  "))
+                continue
+            open_ = "["
+            for part in iter(lambda: list(islice(val, _ITEMS_PER_ENCODE)), []):
+                # the part's text is "[\n  a,\n  b\n]"; drop its brackets
+                write(open_ + _JSON.encode(part)[1:-2].replace("\n", "\n  "))
+                open_ = ","
+                # each encode leaves its closures, ~2.7 KB, in reference
+                # cycles; left to the collector's threshold they pile up to
+                # ~58 KB, and the traced peak of perfbench's mates8 pool at
+                # 1/2 moved from 0.39 to 0.56 of its text with the
+                # collector's phase (0.35 when collected here)
+                gc.collect(0)
+            write("[]" if open_ == "[" else "\n  ]")
+        write("{}\n" if sep == "{" else "\n}\n")
     else:
         for key, val in obj.items():
             if isinstance(val, list):
@@ -351,11 +385,11 @@ def cmd_mates(ns: argparse.Namespace) -> int:
             "graph_count": len(pool),
             "class_count": len(classes),
             "nontrivial_count": len(nontrivial),
-            "classes": [{
+            "classes": ({
                 "members": [encode_graph6(g) for g in c.members],
                 "poly": [str(x) for x in c.key.poly],
                 "poly_complement": [str(x) for x in c.key.poly_complement],
-            } for c in nontrivial],
+            } for c in nontrivial),
         }, ns.output)
     return EXIT_CERTIFIED
 

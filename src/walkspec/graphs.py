@@ -8,6 +8,7 @@ graph6 decoder reads the order header and the edge bytes as bit strings.
 from __future__ import annotations
 
 from base64 import b64encode
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .numtheory import _ordered_map
@@ -310,7 +311,24 @@ _PARENTS_PER_BATCH = 4
 
 def _extensions(form: bytes) -> set[bytes]:
     """Canonical forms of the extensions of the graph with canonical form
-    `form` by one new vertex of maximum degree, as _representatives needs."""
+    `form` by one new vertex of maximum degree, as _representatives needs.
+
+    Twin pruning: call u and v twins when their neighbors agree apart from
+    each other, rows[u] & ~(1 << v) == rows[v] & ~(1 << u), as in
+    _canonical_rows. This is an equivalence: if u ~ v and v ~ w, every
+    other vertex sees u, v and w alike, u ~ v gives adj(u, w) = adj(v, w)
+    and v ~ w gives adj(u, v) = adj(u, w), so the three pairs are adjacent
+    alike and u ~ w. So within a class every pair is adjacent alike, and
+    every outside vertex sees all of it or none: any permutation of a class
+    is an automorphism s of the parent. Joining the new vertex to s(mask)
+    gives the extension by mask relabeled by s, which has the same
+    canonical form; and s keeps popcount(mask) and every degree, so the
+    admissibility rule of _representatives holds for s(mask) exactly when
+    it holds for mask. A mask meets each class in some of its vertices, and
+    a product of such permutations, one per class, moves them to each
+    class's first vertices; so only masks that take a prefix of every class
+    are joined.
+    """
     g = parse_graph6(form)
     m = g.n
     n = m + 1
@@ -319,8 +337,20 @@ def _extensions(form: bytes) -> set[bytes]:
     degs = degree_vector(g)
     top = max(degs)
     ties = sum(1 << i for i in range(m) if degs[i] == top)
+    prefixes = []  # per twin class, the masks of its first 0, 1, ... vertices
+    seen = 0
+    for v in range(m):
+        if seen >> v & 1:
+            continue
+        prefix = [0]
+        for w in range(v, m):
+            if parent[w] & ~(1 << v) == parent[v] & ~(1 << w):
+                prefix.append(prefix[-1] | 1 << w)
+        prefixes.append(prefix)
+        seen |= prefix[-1]
     found = set()
-    for mask in range(1 << m):
+    for parts in product(*prefixes):
+        mask = sum(parts)
         k = mask.bit_count()
         if k < top or (k == top and mask & ties):
             continue

@@ -185,22 +185,31 @@ def charpoly(m: IntMatrix) -> tuple[int, ...]:
     Let p be the coefficients of the leading r x r block A's polynomial,
     highest degree first, and let the next block be [[A, C], [R, d]]. Its
     polynomial is the lower-triangular Toeplitz matrix with first column
-    (1, -d, -RC, -RAC, ..., -RA^(r-1)C) times p. Only products and sums of
-    integers occur, so no step rounds or reduces.
+    (1, -d, -RC, -RAC, ..., -RA^(r-1)C) times p. Each RA^kC is taken as
+    (RA^i)(A^jC) with i = k // 2 and j = k - i, so the block needs powers
+    only up to about r/2 on each side. When m is symmetric, so is A, and
+    R = C^T, so RA^i = (A^iC)^T: one side serves both. Only products and
+    sums of integers occur, so no step rounds or reduces.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
     rows = m._data
+    symmetric = rows == tuple(zip(*rows))
     p = [1]
     for r, row in enumerate(rows):
-        # C and then A^k C hold r entries, so each map stops at column r
+        # C, R and their powers hold r entries, so each map stops at column r
         block = rows[:r]
-        col = [x[r] for x in block]
+        right = [[x[r] for x in block]]  # A^j C for j = 0, 1, ...
+        left = right if symmetric else [row[:r]]  # R A^i for i = 0, 1, ...
+        cols = () if symmetric else tuple(zip(*block))[:r]
         t = [1, -row[r]]
         for k in range(r):
-            if k:
-                col = [sum(map(mul, x, col)) for x in block]
-            t.append(-sum(map(mul, row, col)))
+            i = k // 2
+            if k - i == len(right):
+                right.append([sum(map(mul, x, right[-1])) for x in block])
+            if i == len(left):
+                left.append([sum(map(mul, left[-1], c)) for c in cols])
+            t.append(-sum(map(mul, left[i], right[k - i])))
         p = [sum(map(mul, t[i::-1], p)) for i in range(r + 2)]
     return tuple(reversed(p))
 

@@ -275,23 +275,21 @@ def verify_theorem(graphs: Iterable[Graph], alpha: AlphaParam, *,
 
 def verification_to_json(report: VerificationReport) -> dict:
     """JSON-ready dict; polynomial coefficients and levels as decimal
-    strings, certificate entries as num/den strings in lowest terms."""
+    strings, certificate entries as num/den strings in lowest terms.
+
+    The sections that grow with the pool (classes, verdicts, certified,
+    nontrivial_classes, pair_checks and plain_only_groups) are iterators,
+    each item formatted only when it is read, so a writer that streams them
+    never holds the payload whole beside the report. The plain-only groups'
+    canonical forms are computed here, before anything is read, so a
+    failure there comes before the first byte is written.
+    """
     def poly(p: Sequence[int]) -> list[str]:
         return [str(c) for c in p]
 
-    # the verdicts name every class member once, class by class
-    names = (g6 for g6, _ in report.verdicts)
-    classes = []
-    for cls in report.classes:
-        classes.append({
-            "poly": poly(cls.key.poly),
-            "poly_complement": poly(cls.key.poly_complement),
-            "members": [next(names) for _ in cls.members],
-        })
-    pairs = []
-    for pc in report.pair_checks:
+    def pair(pc: PairCheck) -> dict:
         cert = pc.certificate
-        pairs.append({
+        return {
             "source": cert.source,
             "target": cert.target,
             "level": str(cert.level),
@@ -301,20 +299,27 @@ def verification_to_json(report: VerificationReport) -> dict:
             "no_odd_prime_in_level": pc.no_odd_prime_in_level,
             "matrix": [[str(Fraction(x, cert.level)) for x in row]
                        for row in cert.matrix.to_lists()],
-        })
+        }
+
+    groups = _plain_only_classes(report.classes)
+    # the verdicts name every class member once, class by class
+    names = (g6 for g6, _ in report.verdicts)
     return {
         "schema": 1,
         "alpha": str(report.alpha),
         "graph_count": report.graph_count,
         "class_count": len(report.classes),
-        "classes": classes,
-        "verdicts": [[g6, v.value] for g6, v in report.verdicts],
-        "certified": list(report.certified),
-        "nontrivial_classes": list(report.nontrivial_classes),
-        "pair_checks": pairs,
+        "classes": ({
+            "poly": poly(cls.key.poly),
+            "poly_complement": poly(cls.key.poly_complement),
+            "members": [next(names) for _ in cls.members],
+        } for cls in report.classes),
+        "verdicts": ([g6, v.value] for g6, v in report.verdicts),
+        "certified": iter(report.certified),
+        "nontrivial_classes": iter(report.nontrivial_classes),
+        "pair_checks": map(pair, report.pair_checks),
         "skipped_singular_pairs": report.skipped_singular_pairs,
-        "plain_only_groups": [[encode_graph6(g) for g in grp]
-                              for grp in _plain_only_classes(report.classes)],
+        "plain_only_groups": ([encode_graph6(g) for g in grp] for grp in groups),
         "counterexamples": list(report.counterexamples),
         "ok": report.ok,
     }

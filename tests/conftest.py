@@ -1,14 +1,21 @@
+import io
 import os
 import pathlib
 import random
+from contextlib import redirect_stdout
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
 from math import gcd, isqrt, prod
 from operator import mul
+from typing import Sequence
 
 import pytest
 
-from walkspec.graphs import Graph, GraphParseError, _encode_order, degree_vector
+from walkspec import cli
+from walkspec.graphs import (Graph, GraphParseError, _canonical_rows,
+                             _encode_order, degree_vector, encode_graph6,
+                             parse_graph6)
 from walkspec.linalg import IntMatrix, SingularMatrixError, _echelon
 from walkspec import numtheory
 from walkspec.numtheory import (
@@ -21,6 +28,7 @@ from walkspec.numtheory import (
     _sieve,
     is_probable_prime,
 )
+from walkspec.oracle import VerificationReport, _plain_only_classes
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -64,6 +72,14 @@ def at_each_worker_count(monkeypatch, run) -> list:
             os.waitpid(-1, os.WNOHANG)
     monkeypatch.setattr(os, "fork", real_fork)
     return out
+
+
+def emitted_json(obj: dict) -> str:
+    """The text cli._emit writes for obj as --output json."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(obj, "json")
+    return out.getvalue()
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -724,3 +740,79 @@ def reference_encode_graph6(g: Graph) -> str:
         for i in range(j):
             bits = bits << 1 | (g._rows[i] >> j & 1)
     return reference_pack_graph6(g.n, bits).decode("ascii")
+
+
+# The verification payload as it was built whole before its large sections
+# became iterators, and the enumeration step as it was before it joined
+# only a prefix of each twin class, kept verbatim (names aside) as the
+# references that the streamed JSON's bytes and the extensions' forms must
+# match.
+
+
+def reference_verification_json(report: VerificationReport) -> dict:
+    """JSON-ready dict; polynomial coefficients and levels as decimal
+    strings, certificate entries as num/den strings in lowest terms."""
+    def poly(p: Sequence[int]) -> list[str]:
+        return [str(c) for c in p]
+
+    # the verdicts name every class member once, class by class
+    names = (g6 for g6, _ in report.verdicts)
+    classes = []
+    for cls in report.classes:
+        classes.append({
+            "poly": poly(cls.key.poly),
+            "poly_complement": poly(cls.key.poly_complement),
+            "members": [next(names) for _ in cls.members],
+        })
+    pairs = []
+    for pc in report.pair_checks:
+        cert = pc.certificate
+        pairs.append({
+            "source": cert.source,
+            "target": cert.target,
+            "level": str(cert.level),
+            "last_divisor": str(pc.last_divisor),
+            "level_divides_last_divisor": pc.level_divides_last_divisor,
+            "source_arithmetic_ok": pc.source_arithmetic_ok,
+            "no_odd_prime_in_level": pc.no_odd_prime_in_level,
+            "matrix": [[str(Fraction(x, cert.level)) for x in row]
+                       for row in cert.matrix.to_lists()],
+        })
+    return {
+        "schema": 1,
+        "alpha": str(report.alpha),
+        "graph_count": report.graph_count,
+        "class_count": len(report.classes),
+        "classes": classes,
+        "verdicts": [[g6, v.value] for g6, v in report.verdicts],
+        "certified": list(report.certified),
+        "nontrivial_classes": list(report.nontrivial_classes),
+        "pair_checks": pairs,
+        "skipped_singular_pairs": report.skipped_singular_pairs,
+        "plain_only_groups": [[encode_graph6(g) for g in grp]
+                              for grp in _plain_only_classes(report.classes)],
+        "counterexamples": list(report.counterexamples),
+        "ok": report.ok,
+    }
+
+
+def reference_extensions(form: bytes) -> set[bytes]:
+    """Canonical forms of the extensions of the graph with canonical form
+    `form` by one new vertex of maximum degree, as _representatives needs."""
+    g = parse_graph6(form)
+    m = g.n
+    n = m + 1
+    bit = 1 << m
+    parent = g._rows
+    degs = degree_vector(g)
+    top = max(degs)
+    ties = sum(1 << i for i in range(m) if degs[i] == top)
+    found = set()
+    for mask in range(1 << m):
+        k = mask.bit_count()
+        if k < top or (k == top and mask & ties):
+            continue
+        rows = [r | bit if mask >> i & 1 else r for i, r in enumerate(parent)]
+        rows.append(mask)
+        found.add(_canonical_rows(n, rows))
+    return found

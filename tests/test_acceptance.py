@@ -11,8 +11,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from conftest import (complement, det_cofactor, random_graph, read_fixture,
-                      smith_reference)
+from conftest import (complement, det_cofactor, emitted_json, random_graph,
+                      read_fixture, smith_reference)
 from walkspec import numtheory
 from walkspec.criterion import (
     ALPHA_HALF,
@@ -252,7 +252,8 @@ def test_acceptance_7_certificate_suite_at_order_8_alpha_zero(order_8_pool):
     report = verify_theorem(order_8_pool, ALPHA_ZERO)
     checks = report.pair_checks
     levels = sorted(pc.certificate.level for pc in checks)
-    text = json.dumps(verification_to_json(report), indent=2) + "\n"
+    payload = json.loads(emitted_json(verification_to_json(report)))
+    text = json.dumps(payload, indent=2) + "\n"
     ok = (report.ok and len(report.verdicts) == 12346
           and len(report.classes) == 11750
           and len(report.nontrivial_classes) == 570

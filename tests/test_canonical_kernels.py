@@ -17,7 +17,7 @@ from walkspec.graphs import (CANONICAL_CAP, Graph, _representatives,
                              canonical_form, degree_vector, encode_graph6,
                              enumerate_graphs, parse_graph6)
 
-from conftest import at_each_worker_count, relabel
+from conftest import at_each_worker_count, reference_extensions, relabel
 
 # graphs on 8 nodes up to isomorphism, and connected ones (OEIS A000088, A001349)
 COUNT_8 = 12346
@@ -240,6 +240,14 @@ def test_pruned_form_matches_reference_on_twin_rich_families(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_representatives_match_reference(n):
     assert _representatives(n) == _representatives_reference(n)
+
+
+def test_extensions_match_reference_on_every_parent_up_to_order_6():
+    """Joining a prefix of each twin class finds every form that joining
+    every admissible mask finds."""
+    for m in range(1, 7):
+        for form in _representatives(m):
+            assert graphs._extensions(form) == reference_extensions(form), form
 
 
 def test_representatives_do_not_depend_on_worker_count(monkeypatch):

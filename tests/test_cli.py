@@ -9,17 +9,21 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
+from functools import lru_cache
 from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 
-from conftest import (FIXTURES, HARD_ALPHA, at_each_worker_count, random_graph,
-                      read_fixture)
-from walkspec import cli, numtheory
+from conftest import (FIXTURES, HARD_ALPHA, at_each_worker_count, emitted_json,
+                      random_graph, read_fixture, reference_verification_json)
+from walkspec import cli, numtheory, oracle
 from walkspec.cli import EXIT_CERTIFIED, EXIT_FAILED, EXIT_LIMITED, EXIT_USAGE, main
-from walkspec.criterion import AlphaParam, criterion_check, report_to_json
+from walkspec.criterion import (ALPHA_HALF, ALPHA_ZERO, AlphaParam,
+                                criterion_check, report_to_json)
 from walkspec.graphs import Graph, encode_graph6, enumerate_graphs, parse_graph6
-from walkspec.oracle import verification_to_json, verify_theorem
+from walkspec.oracle import VerificationReport, verification_to_json, verify_theorem
 
 G13 = read_fixture("dgas13.g6").strip()
 G14 = read_fixture("dgas14.g6").strip()
@@ -411,6 +415,7 @@ def test_table_output_builds_no_json_payload(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "verification_to_json", refuse)
     monkeypatch.setattr(cli, "json", SimpleNamespace(dump=refuse, dumps=refuse))
+    monkeypatch.setattr(cli, "_JSON", SimpleNamespace(encode=refuse))
     path = tmp_path / "pair.g6"
     path.write_text("G@QZt{\nG@U`}{\n")
     code, out, _ = _run(capsys, "verify-theorem", "--alpha", "0", str(path))
@@ -431,7 +436,8 @@ def test_json_output_is_the_indented_payload(capsys, tmp_path):
     _, out, _ = _run(capsys, "verify-theorem", "--alpha", "1/2", "--n", "5",
                      "--output", "json")
     report = verify_theorem(enumerate_graphs(5), alpha)
-    assert out == json.dumps(verification_to_json(report), indent=2) + "\n"
+    payload = json.loads(emitted_json(verification_to_json(report)))
+    assert out == json.dumps(payload, indent=2) + "\n"
     _, out, _ = _run(capsys, "check", "--alpha", "1/2", "--output", "json",
                      "--graph", G13)
     report = criterion_check(parse_graph6(G13), alpha)
@@ -441,6 +447,143 @@ def test_json_output_is_the_indented_payload(capsys, tmp_path):
     _, out, _ = _run(capsys, "mates", "--alpha", "0", "--output", "json",
                      str(path))
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the streaming JSON writer
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _pool_report(order: int | None, alpha: str) -> VerificationReport:
+    """verify_theorem over every graph of the order, or over MATES8 (None)."""
+    pool = (enumerate_graphs(order) if order else
+            [parse_graph6(ln) for ln in pathlib.Path(MATES8).read_text().split()])
+    return verify_theorem(pool, AlphaParam.parse(alpha))
+
+
+@pytest.mark.parametrize("order, alpha", [
+    *((n, a) for n in range(1, 7) for a in ("0", "1/2", "2/3", "3/4")),
+    (7, "0"), (7, "1/2"),
+])
+def test_streamed_verification_json_matches_reference(order, alpha):
+    """The iterator payload, streamed, has the bytes of the payload built
+    whole and dumped as one string."""
+    report = _pool_report(order, alpha)
+    assert emitted_json(verification_to_json(report)) == \
+        json.dumps(reference_verification_json(report), indent=2) + "\n"
+
+
+def test_streamed_mates8_json_does_not_depend_on_worker_count(monkeypatch):
+    """The mates8 pool's 545 nontrivial classes and 22 pair checks are
+    checked on every worker, and streamed alike."""
+    def both():
+        report = verify_theorem(
+            [parse_graph6(ln) for ln in pathlib.Path(MATES8).read_text().split()],
+            ALPHA_HALF)
+        return (emitted_json(verification_to_json(report)),
+                json.dumps(reference_verification_json(report), indent=2) + "\n")
+
+    outs = at_each_worker_count(monkeypatch, both)
+    assert all(streamed == whole == outs[0][1] for streamed, whole in outs)
+    assert json.loads(outs[0][0])["pair_checks"]
+
+
+def test_streamed_json_of_a_counterexample_matches_reference(monkeypatch):
+    """A Smith divisor that the level does not divide makes a counterexample
+    and a pair check that fails its level arithmetic."""
+    monkeypatch.setattr(oracle, "smith_divisors", lambda w: (1,) * (w.rows - 1) + (7,))
+    report = verify_theorem([parse_graph6("G@QZt{"), parse_graph6("G@U`}{")],
+                            ALPHA_ZERO)
+    assert report.counterexamples and not report.ok
+    assert emitted_json(verification_to_json(report)) == \
+        json.dumps(reference_verification_json(report), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--alpha", "1/2", "--graph", G13),
+    ("snf", "--alpha", "2/3", "--graph", G13),
+    ("spectrum", "--alpha", "3/4", "--graph", G14),
+    ("mates", "--alpha", "1/2", "--n", "6"),
+    ("verify-theorem", "--alpha", "1/2", MATES8),
+], ids=lambda argv: argv[0])
+def test_each_command_writes_its_dict_as_json_dump(capsys, monkeypatch, argv):
+    """Every command's JSON is json.dump(obj, indent=2) of its dict, with
+    each iterator value read as a list."""
+    emit = cli._emit
+    dicts = []
+
+    def record(obj, output):
+        lists = {k: list(v) if isinstance(v, Iterator) else v for k, v in obj.items()}
+        dicts.append(lists)
+        emit({k: iter(lists[k]) if isinstance(v, Iterator) else v
+              for k, v in obj.items()}, output)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    _, out, _ = _run(capsys, *argv, "--output", "json")
+    (obj,) = dicts
+    assert out == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("size", [0, 1, 8, 9, 17])
+def test_json_writer_writes_an_iterator_as_a_list(size):
+    items = [{"i": i, "s": f'"{i}"\\\n', "l": [[], {}, [str(i)]]}
+             for i in range(size)]
+    obj = {"schema": 1, "items": iter(items), "empty": [], "tail": {"k": []}}
+    assert emitted_json(obj) == \
+        json.dumps({**obj, "items": items}, indent=2) + "\n"
+    assert emitted_json({"only": iter(items)}) == \
+        json.dumps({"only": items}, indent=2) + "\n"
+
+
+def test_json_writer_writes_an_empty_dict():
+    assert emitted_json({}) == json.dumps({}, indent=2) + "\n"
+
+
+def test_a_failing_forms_map_prints_nothing(capsys, monkeypatch, tmp_path):
+    """The plain-only groups' forms are computed before the first byte, so a
+    failure there leaves stdout empty."""
+    def fails(g):
+        raise RuntimeError("no form")
+
+    # the 4-star and the 4-cycle plus an isolate share the plain polynomial
+    # under different keys: only the JSON writer computes their forms
+    path = tmp_path / "plain.g6"
+    path.write_text("Ds_\nDl?\n")
+    monkeypatch.setattr(oracle, "canonical_form", fails)
+    with pytest.raises(RuntimeError, match="no form"):
+        main(["verify-theorem", "--alpha", "0", "--output", "json", str(path)])
+    assert capsys.readouterr().out == ""
+
+
+class _Sink:
+    """A stdout that counts what is written and keeps none of it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("order", [7, None], ids=["order-7", "mates8"])
+def test_json_payload_is_never_held_whole(monkeypatch, order):
+    """Building and streaming the alpha = 1/2 payload holds less than half
+    its text at once; the payload built whole held 3.4 times it at order 7
+    and 3.2 times it on the mates8 pool."""
+    report = _pool_report(order, "1/2")
+    # the plain-only forms are mapped in this process, where they are traced
+    monkeypatch.setattr(numtheory, "_workers", lambda: 1)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            cli._emit(verification_to_json(report), "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 100_000
+    assert peak < sink.chars / 2
 
 
 # orders 5-11, one malformed line; every verdict but the excluded ones shows

@@ -8,6 +8,7 @@ graph6 decoder reads the order header and the edge bytes as bit strings.
 from __future__ import annotations
 
 from base64 import b64encode
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -303,7 +304,6 @@ def canonical_form(g: Graph) -> bytes:
     return _canonical_rows(g.n, g._rows)
 
 
-_enum_cache: dict[int, tuple[bytes, ...]] = {}
 # parents per batch of the enumeration map, about the cost of a fork:
 # extending an order-6 parent takes about 0.7 ms, an order-5 one 0.35 ms
 _PARENTS_PER_BATCH = 4
@@ -360,6 +360,7 @@ def _extensions(form: bytes) -> set[bytes]:
     return found
 
 
+@lru_cache(maxsize=None)
 def _representatives(n: int) -> tuple[bytes, ...]:
     """Sorted canonical forms of all graphs on n vertices.
 
@@ -372,17 +373,13 @@ def _representatives(n: int) -> tuple[bytes, ...]:
     and the mask avoids every vertex of degree top. The parents are
     extended on every worker of numtheory._ordered_map.
     """
-    if n not in _enum_cache:
-        if n == 1:
-            _enum_cache[1] = (_canonical_rows(1, (0,)),)
-        else:
-            parents = _representatives(n - 1)
-            found: set[bytes] = set()
-            for forms in _ordered_map(_extensions, parents, "enumeration",
-                                      _PARENTS_PER_BATCH):
-                found |= forms
-            _enum_cache[n] = tuple(sorted(found))
-    return _enum_cache[n]
+    if n == 1:
+        return (_canonical_rows(1, (0,)),)
+    found: set[bytes] = set()
+    for forms in _ordered_map(_extensions, _representatives(n - 1),
+                              "enumeration", _PARENTS_PER_BATCH):
+        found |= forms
+    return tuple(sorted(found))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:

@@ -1,9 +1,9 @@
 """Exact linear algebra over arbitrary-precision integers.
 
 Everything here is pure bigint arithmetic: fraction-free determinants and
-linear solves, integer characteristic polynomials, ranks over prime fields,
-and the invariant factors (Smith divisors) of integer matrices. No floating
-point.
+linear solves, characteristic polynomials of symmetric matrices, ranks
+over prime fields, and the invariant factors (Smith divisors) of integer
+matrices. No floating point.
 
 Two elimination kernels do all of it but the characteristic polynomial.
 Bareiss's fraction-free row echelon gives the determinant, the solve (on
@@ -179,37 +179,35 @@ def solve_fraction_free(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
 
 
 def charpoly(m: IntMatrix) -> tuple[int, ...]:
-    """Coefficients (c0, ..., cn) of det(xI - m), cn = 1, exactly, by
-    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984).
+    """Coefficients (c0, ..., cn) of det(xI - m), cn = 1, of a symmetric
+    matrix m, exactly, by Berkowitz's division-free recurrence (Inf.
+    Process. Lett. 18, 1984). Any other matrix is a ValueError.
 
     Let p be the coefficients of the leading r x r block A's polynomial,
     highest degree first, and let the next block be [[A, C], [R, d]]. Its
     polynomial is the lower-triangular Toeplitz matrix with first column
-    (1, -d, -RC, -RAC, ..., -RA^(r-1)C) times p. Each RA^kC is taken as
-    (RA^i)(A^jC) with i = k // 2 and j = k - i, so the block needs powers
-    only up to about r/2 on each side. When m is symmetric, so is A, and
-    R = C^T, so RA^i = (A^iC)^T: one side serves both. Only products and
-    sums of integers occur, so no step rounds or reduces.
+    (1, -d, -RC, -RAC, ..., -RA^(r-1)C) times p. As m is symmetric, so is
+    A, and R = C^T, so RA^i = (A^iC)^T, and each RA^kC is the dot product
+    of A^iC and A^jC with i = k // 2 and j = k - i: one list of powers
+    A^jC, up to about r/2, serves both sides. Only products and sums of
+    integers occur, so no step rounds or reduces.
     """
-    if not m.is_square:
-        raise ValueError("characteristic polynomial requires a square matrix")
     rows = m._data
-    symmetric = rows == tuple(zip(*rows))
+    # a non-square matrix differs from its transpose in shape
+    if rows != tuple(zip(*rows)):
+        raise ValueError("characteristic polynomial requires a symmetric "
+                         "matrix")
     p = [1]
     for r, row in enumerate(rows):
-        # C, R and their powers hold r entries, so each map stops at column r
+        # C and its powers hold r entries, so each map stops at column r
         block = rows[:r]
-        right = [[x[r] for x in block]]  # A^j C for j = 0, 1, ...
-        left = right if symmetric else [row[:r]]  # R A^i for i = 0, 1, ...
-        cols = () if symmetric else tuple(zip(*block))[:r]
+        powers = [[x[r] for x in block]]  # A^j C for j = 0, 1, ...
         t = [1, -row[r]]
         for k in range(r):
             i = k // 2
-            if k - i == len(right):
-                right.append([sum(map(mul, x, right[-1])) for x in block])
-            if i == len(left):
-                left.append([sum(map(mul, left[-1], c)) for c in cols])
-            t.append(-sum(map(mul, left[i], right[k - i])))
+            if k - i == len(powers):
+                powers.append([sum(map(mul, x, powers[-1])) for x in block])
+            t.append(-sum(map(mul, powers[i], powers[k - i])))
         p = [sum(map(mul, t[i::-1], p)) for i in range(r + 2)]
     return tuple(reversed(p))
 

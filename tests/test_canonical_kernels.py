@@ -252,7 +252,7 @@ def test_extensions_match_reference_on_every_parent_up_to_order_6():
 
 def test_representatives_do_not_depend_on_worker_count(monkeypatch):
     def enumerate_afresh():
-        monkeypatch.setattr(graphs, "_enum_cache", {})
+        _representatives.cache_clear()
         return [_representatives(n) for n in range(1, 8)]
 
     outs = at_each_worker_count(monkeypatch, enumerate_afresh)
@@ -268,7 +268,7 @@ def test_enumerator_extends_by_maximum_degree_vertices_only(monkeypatch):
 
     canonical_rows = graphs._canonical_rows
     monkeypatch.setattr(graphs, "_canonical_rows", spy)
-    monkeypatch.setattr(graphs, "_enum_cache", {})
+    _representatives.cache_clear()
     assert _representatives(6) == _representatives_reference(6)
     assert extensions
     for degs in extensions:

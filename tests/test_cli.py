@@ -154,6 +154,34 @@ def test_batch_numbers_lines_as_splitlines_does(capsys, monkeypatch):
     assert records[-1]["total"] == len(expect) == 9
 
 
+def _batch_peak(monkeypatch, path, workers: int) -> int:
+    """Traced peak of this process while `batch` runs the lines of `path` on
+    `workers` workers, until the 1,000th line checked here raises."""
+
+    class Enough(Exception):
+        pass
+
+    caller = os.getpid()
+    checked = []
+
+    def check(g, alpha, factor_effort):
+        if os.getpid() == caller:
+            checked.append(g.n)
+            if len(checked) == 1000:
+                raise Enough
+        return criterion_check(g, alpha, factor_effort=factor_effort)
+
+    monkeypatch.setattr(cli, "criterion_check", check)
+    monkeypatch.setattr(numtheory, "_workers", lambda: workers)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Enough):
+            main(["batch", "--alpha", "1/2", str(path)])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_batch_holds_no_list_of_its_lines(capsys, tmp_path, monkeypatch):
     """batch reads its whole input before the first record, so a bad byte
     anywhere exits 64 with nothing printed, but then takes one line at a
@@ -165,30 +193,28 @@ def test_batch_holds_no_list_of_its_lines(capsys, tmp_path, monkeypatch):
     assert (code, out) == (EXIT_USAGE, "")
     assert "undecodable byte 0xff" in err
     path.write_text("C~\n" * 200_000)
-
-    class Enough(Exception):
-        pass
-
-    checked = []
-
-    def check(g, alpha, factor_effort):
-        checked.append(g.n)
-        if len(checked) == 1000:
-            raise Enough
-        return criterion_check(g, alpha, factor_effort=factor_effort)
-
-    monkeypatch.setattr(cli, "criterion_check", check)
-    # the calls are counted in this process, so every line must run here
-    monkeypatch.setattr(numtheory, "_workers", lambda: 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(Enough):
-            main(["batch", "--alpha", "1/2", str(path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # one worker, so every line is checked, and counted, here
+    peak = _batch_peak(monkeypatch, path, 1)
     assert capsys.readouterr().out.count("\n") == 999
     assert peak < 2_000_000
+
+
+def test_batch_caller_holds_no_list_of_its_lines_while_children_draw(
+        capsys, tmp_path, monkeypatch):
+    """At two workers each child draws the lines from its own copy of the
+    iterator, and the caller runs every other batch of 16: its 1,000th line
+    is the 8th of batch 124, so 124 batches are printed. The caller traces
+    about the decoded text, 1.3 MB, where a list of the lines took it to
+    13.1 MB, and no child is left."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    path = tmp_path / "pool.g6"
+    path.write_text("C~\n" * 200_000)
+    peak = _batch_peak(monkeypatch, path, 2)
+    assert capsys.readouterr().out.count("\n") == 124 * 16
+    assert peak < 2_000_000
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

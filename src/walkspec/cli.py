@@ -20,12 +20,11 @@ the parsed alpha.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import re
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 from . import numtheory
@@ -224,43 +223,42 @@ def _load_pool(ns: argparse.Namespace) -> list[Graph]:
     return [parse_graph6(ln) for ln in _lines(text) if ln.strip()]
 
 
-# the one JSON encoder: encoded strings hold no raw newline, so a value's
-# text indented at each "\n" is what json.dump(obj, indent=2) writes for it
-# one level down
-_JSON = json.JSONEncoder(indent=2)
-# items of an iterator value per encode: one item per encode spends ~10 ms
-# more per order-7 verify-theorem report (26 against 15 ms), building the
-# pure-Python indent encoder each call; 256 items per encode hold each
-# part's joined chunk list, a traced peak of 0.93-1.08 MB
-_ITEMS_PER_ENCODE = 8
+class _Items(list):
+    """An iterator that the encoder reads as a nonempty list."""
+
+    def __init__(self, items: Iterator):
+        self._items = items
+
+    def __iter__(self) -> Iterator:
+        return self._items
+
+    def __bool__(self) -> bool:
+        return True
+
+
+def _default(obj: object) -> list:
+    """The encoder's default: an iterator as a list ([] when it is empty, as
+    the encoder writes "[" before it reads an item), else the TypeError."""
+    if not isinstance(obj, Iterator):
+        return json.JSONEncoder.default(_JSON, obj)
+    for first in obj:
+        return _Items(chain((first,), obj))
+    return []
+
+
+# iterencode runs the pure-Python encoder, which reads lists by __iter__
+_JSON = json.JSONEncoder(indent=2, default=_default)
+# chunks per write, none empty: a write per chunk was 14-44 % slower at n = 8
+_CHUNKS_PER_WRITE = 1024
 
 
 def _emit(obj: dict, output: str) -> None:
     if output == "json":
-        # json.dump(obj, indent=2), written one top-level value at a time; an
-        # iterator value is written as a list, a part of its items per
-        # encode, so neither the text nor a payload built whole is held
-        write = sys.stdout.write
-        sep = "{"
-        for key, val in obj.items():
-            write(f"{sep}\n  {_JSON.encode(key)}: ")
-            sep = ","
-            if not isinstance(val, Iterator):
-                write(_JSON.encode(val).replace("\n", "\n  "))
-                continue
-            open_ = "["
-            for part in iter(lambda: list(islice(val, _ITEMS_PER_ENCODE)), []):
-                # the part's text is "[\n  a,\n  b\n]"; drop its brackets
-                write(open_ + _JSON.encode(part)[1:-2].replace("\n", "\n  "))
-                open_ = ","
-                # each encode leaves its closures, ~2.7 KB, in reference
-                # cycles; left to the collector's threshold they pile up to
-                # ~58 KB, and the traced peak of perfbench's mates8 pool at
-                # 1/2 moved from 0.39 to 0.56 of its text with the
-                # collector's phase (0.35 when collected here)
-                gc.collect(0)
-            write("[]" if open_ == "[" else "\n  ]")
-        write("{}\n" if sep == "{" else "\n}\n")
+        # json.dump(obj, indent=2), holding neither its text nor its payload
+        chunks = _JSON.iterencode(obj)
+        for text in iter(lambda: "".join(islice(chunks, _CHUNKS_PER_WRITE)), ""):
+            sys.stdout.write(text)
+        sys.stdout.write("\n")
     else:
         for key, val in obj.items():
             if isinstance(val, list):

@@ -3,8 +3,12 @@
 For rational alpha = a/c in [0, 1), the c-scaled matrix a*D + (c-a)*A is
 integral, and its normalized walk matrix has columns 1, d, M d, M^2 d, ...
 (using M @ 1 = c*d, so the division by c never happens explicitly). The
-verdict logic examines det/2^floor(n/2): integral, odd, square-free, plus
-full rank mod every odd prime dividing c.
+verdict logic examines N = det/2^floor(n/2): integral, odd, square-free,
+plus full rank mod every odd prime dividing c. With a and c odd (1/3, 3/5,
+...), b is even, so mod 2 M = D and M^k d = D^k d = d (as d_i^(k+1) = d_i).
+Subtracting column d from M d, ..., M^(n-2) d keeps det W and makes those
+n - 2 columns even: rank_2 W <= 2 and 2^(n-2) | det W, so N is an even
+integer once n - 2 > floor(n/2), n >= 5, and no such graph is certified.
 """
 
 from __future__ import annotations

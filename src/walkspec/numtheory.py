@@ -538,14 +538,14 @@ def _ecm(m: int, budget: list[int], done: list[int]) -> int:
 
 
 def factorize(x: int, *, effort: int = DEFAULT_FACTOR_EFFORT) -> Factorization:
-    """Full prime factorization: trial division by primes to 10^6, rho on at
-    most RHO_SHARE of the effort, then ECM on the rest, with primality
-    certification of every remaining cofactor, each tested once. Trial
-    division walks the blocks of _sieve() in order, up to the first block
-    whose least prime squared exceeds the cofactor, or until the cofactor,
-    tested first and after each block that divides it when above
-    TRIAL_LIMIT, is a probable prime; a block whose product is coprime to
-    the cofactor is skipped with one gcd.
+    """Full factorization into primes, proved below 3.18e23 and probable (64
+    seeded Miller-Rabin rounds) above: trial division by primes to 10^6, rho
+    on at most RHO_SHARE of the effort, then ECM on the rest, each cofactor
+    left tested once for primality. Trial division walks the blocks of
+    _sieve() in order, up to the first block whose least prime squared
+    exceeds the cofactor, or until the cofactor, tested first and after each
+    block that divides it when above TRIAL_LIMIT, is a probable prime; a
+    block whose product is coprime to the cofactor is skipped with one gcd.
 
     Raises FactorizationBudgetError when the effort runs out; never returns
     a guessed or partial factorization. For effort <= RHO_SHARE, ECM never

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import numtheory
@@ -94,12 +95,11 @@ def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateCl
                              "spectrum key", _PER_BATCH))
     shared = Counter(keys)
     forms = _forms([g for g, key in zip(pool, keys) if shared[key] > 1])
-    groups: dict[SpectrumKey, dict[bytes | None, Graph]] = {}
+    reps: dict[tuple[SpectrumKey, bytes | None], Graph] = {}
     for g, key in zip(pool, keys):
-        form = next(forms) if shared[key] > 1 else None
-        groups.setdefault(key, {}).setdefault(form, g)
-    return [MateClass(key, tuple(reps[form] for form in sorted(reps)))
-            for key, reps in sorted(groups.items())]
+        reps.setdefault((key, next(forms) if shared[key] > 1 else None), g)
+    return [MateClass(key, tuple(reps[rep] for rep in run))
+            for key, run in groupby(sorted(reps), itemgetter(0))]
 
 
 def _plain_only_classes(classes: Iterable[MateClass]) -> list[tuple[Graph, ...]]:
@@ -277,16 +277,13 @@ def verification_to_json(report: VerificationReport) -> dict:
     """JSON-ready dict; polynomial coefficients and levels as decimal
     strings, certificate entries as num/den strings in lowest terms.
 
-    The sections that grow with the pool (classes, verdicts, certified,
-    nontrivial_classes, pair_checks and plain_only_groups) are iterators,
-    each item formatted only when it is read, so a writer that streams them
-    never holds the payload whole beside the report. The plain-only groups'
-    canonical forms are computed here, before anything is read, so a
-    failure there comes before the first byte is written.
+    The sections that grow with the pool are the report's own tuples, or
+    iterators over it that format each item only when it is read, so a
+    writer that streams them never holds the payload whole beside the
+    report. The plain-only groups' canonical forms are computed here,
+    before anything is read, so a failure there comes before the first
+    byte is written.
     """
-    def poly(p: Sequence[int]) -> list[str]:
-        return [str(c) for c in p]
-
     def pair(pc: PairCheck) -> dict:
         cert = pc.certificate
         return {
@@ -310,16 +307,16 @@ def verification_to_json(report: VerificationReport) -> dict:
         "graph_count": report.graph_count,
         "class_count": len(report.classes),
         "classes": ({
-            "poly": poly(cls.key.poly),
-            "poly_complement": poly(cls.key.poly_complement),
+            "poly": list(map(str, cls.key.poly)),
+            "poly_complement": list(map(str, cls.key.poly_complement)),
             "members": [next(names) for _ in cls.members],
         } for cls in report.classes),
         "verdicts": ([g6, v.value] for g6, v in report.verdicts),
-        "certified": iter(report.certified),
-        "nontrivial_classes": iter(report.nontrivial_classes),
+        "certified": report.certified,
+        "nontrivial_classes": report.nontrivial_classes,
         "pair_checks": map(pair, report.pair_checks),
         "skipped_singular_pairs": report.skipped_singular_pairs,
         "plain_only_groups": ([encode_graph6(g) for g in grp] for grp in groups),
-        "counterexamples": list(report.counterexamples),
+        "counterexamples": report.counterexamples,
         "ok": report.ok,
     }

@@ -441,7 +441,7 @@ def test_table_output_builds_no_json_payload(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "verification_to_json", refuse)
     monkeypatch.setattr(cli, "json", SimpleNamespace(dump=refuse, dumps=refuse))
-    monkeypatch.setattr(cli, "_JSON", SimpleNamespace(encode=refuse))
+    monkeypatch.setattr(cli, "_JSON", SimpleNamespace(encode=refuse, iterencode=refuse))
     path = tmp_path / "pair.g6"
     path.write_text("G@QZt{\nG@U`}{\n")
     code, out, _ = _run(capsys, "verify-theorem", "--alpha", "0", str(path))
@@ -564,6 +564,29 @@ def test_json_writer_writes_an_iterator_as_a_list(size):
 
 def test_json_writer_writes_an_empty_dict():
     assert emitted_json({}) == json.dumps({}, indent=2) + "\n"
+
+
+def test_json_writer_reads_an_iterator_anywhere():
+    """An iterator is written as a list wherever it sits, empty or nested in
+    a list or a dict value, and a tuple as a list."""
+    def payload(seq):
+        return {"empty": seq([]),
+                "in_list": [1, seq([2, {"x": seq([])}, seq([[]])]), []],
+                "in_dict": {"k": seq(["a", seq([3]), {}])},
+                "tuple": (1, (2, ()), ())}
+
+    assert emitted_json(payload(iter)) == \
+        json.dumps(payload(list), indent=2) + "\n"
+    assert emitted_json({"only": iter([])}) == '{\n  "only": []\n}\n'
+
+
+def test_json_writer_refuses_what_the_stdlib_refuses():
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps({"k": [{1}]}, indent=2)
+    with pytest.raises(TypeError) as writer:
+        emitted_json({"k": iter([{1}])})
+    assert str(writer.value) == str(stdlib.value) == \
+        "Object of type set is not JSON serializable"
 
 
 def test_a_failing_forms_map_prints_nothing(capsys, monkeypatch, tmp_path):

@@ -28,7 +28,7 @@ from walkspec.graphs import (
     encode_graph6,
     parse_graph6,
 )
-from walkspec.linalg import IntMatrix, det_bareiss
+from walkspec.linalg import IntMatrix, det_bareiss, rank_mod_p
 from walkspec.numtheory import RHO_SHARE, FactorizationBudgetError
 
 ALPHAS = [AlphaParam.parse(s) for s in ("0", "1/2", "1/3", "2/3", "3/4", "5/6")]
@@ -352,6 +352,21 @@ def test_verdict_scan_counts_small_orders():
                 if criterion_check(g, AlphaParam(2, 3)).verdict
                 == Verdict.EXCLUDED_CASE]
     assert excluded[0] == "E@Uw"
+
+
+@pytest.mark.parametrize("alpha", ["1/3", "3/5"])
+def test_odd_a_odd_c_reduced_determinant_is_even(alpha):
+    """With a and c odd, W has rank at most 2 mod 2, so 2^(n-2) divides
+    det W and N is an even integer for n >= 5 (the module docstring of
+    walkspec.criterion)."""
+    alpha = AlphaParam.parse(alpha)
+    for n in (5, 6, 7):
+        for g in enumerate_graphs(n):
+            report = criterion_check(g, alpha)
+            assert report.reduced.denominator == 1
+            assert report.reduced % 2 == 0
+            assert rank_mod_p(report.walk, 2) <= 2
+            assert report.verdict != Verdict.CERTIFIED_DGAS
 
 
 def test_report_json_shape():

@@ -294,7 +294,7 @@ def cmd_batch(ns: argparse.Namespace) -> int:
             rec = report_to_json(
                 criterion_check(parse_graph6(line), ns.alpha,
                                 factor_effort=ns.effort))
-        except (GraphParseError, ValueError) as exc:
+        except ValueError as exc:
             rec = {"schema": 1, "line": lineno, "error": str(exc)}
             verdict = None
         else:

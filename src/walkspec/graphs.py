@@ -19,7 +19,8 @@ ENUMERATION_CAP = 8  # exhaustive enumeration bound
 
 
 class GraphParseError(ValueError):
-    """Malformed graph6 or edge-list input; the message names the offending position."""
+    """Malformed graph input: graph6 or edge-list text, or edges that break
+    the simple-graph rules; the message names the offending position."""
 
 
 class Graph:
@@ -29,15 +30,15 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
-            raise ValueError("vertex count must be positive")
+            raise GraphParseError("vertex count must be positive")
         rows = [0] * n
         for u, v in edges:
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise GraphParseError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+                raise GraphParseError(f"edge ({u}, {v}) out of range for {n} vertices")
             if rows[u] >> v & 1:
-                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+                raise GraphParseError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         self.n = n
@@ -197,8 +198,6 @@ def parse_edge_list(text: str) -> Graph:
         n = int(tokens[0])
     except ValueError:
         raise GraphParseError(f"vertex count {tokens[0]!r} is not an integer") from None
-    if n < 1:
-        raise GraphParseError("vertex count must be positive")
     rest = tokens[1:]
     if len(rest) % 2:
         raise GraphParseError("odd token count: edge lines must be 'u v' pairs")
@@ -210,15 +209,8 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(
                 f"edge tokens {rest[k]!r} {rest[k + 1]!r} are not integers"
             ) from None
-        if u == v:
-            raise GraphParseError(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"edge ({u}, {v}) out of range for {n} vertices")
         edges.append((u, v))
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise GraphParseError(str(exc)) from None
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

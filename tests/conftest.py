@@ -36,11 +36,6 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 HARD_ALPHA = "1/300000000000000001940000000000000002091"
 
 
-@pytest.fixture(scope="session")
-def fixtures_dir() -> pathlib.Path:
-    return FIXTURES
-
-
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
 

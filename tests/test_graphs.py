@@ -40,10 +40,17 @@ def test_graph_normalizes_and_validates():
         (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
         (3, [(1, 0), (0, 1)], "duplicate edge (0, 1)"),
     ]
+    # Graph is the one validator: parse_edge_list adds only the token rules
     for n, edges, message in cases:
-        with pytest.raises(ValueError) as exc:
-            Graph(n, edges)
-        assert str(exc.value) == message
+        text = " ".join(map(str, [n, *(x for edge in edges for x in edge)]))
+        for build in (lambda: Graph(n, edges), lambda: parse_edge_list(text)):
+            with pytest.raises(GraphParseError) as exc:
+                build()
+            assert str(exc.value) == message
+    # every pair is read before Graph runs, so a token fault beats a loop
+    with pytest.raises(GraphParseError) as exc:
+        parse_edge_list("3 0 0 1 x")
+    assert str(exc.value) == "edge tokens '1' 'x' are not integers"
 
 
 def test_edges_are_the_sorted_normalized_input():

@@ -9,7 +9,8 @@ WALKSPEC_* default applies only to the commands that have its flag.
 
 Exit codes: 0 certified (or clean report), 1 arithmetic/singular failure or
 verification counterexample, 2 excluded/small/undecided, 64 usage, I/O or
-parse errors, a rejected pool or an unfactorable alpha denominator. All
+parse errors, a rejected pool or an unfactorable alpha denominator; a
+stdout closed by its reader exits 64 too, without a message. All
 JSON output carries "schema": 1 and renders big integers as decimal strings.
 
 `check`, `batch` and `verify-theorem` factor alpha's denominator once per
@@ -28,8 +29,8 @@ from itertools import chain, islice
 from typing import Iterator
 
 from . import numtheory
-from .criterion import (AlphaParam, Verdict, criterion_check, report_to_json,
-                        spectrum_key, walk_matrix)
+from .criterion import (AlphaParam, Verdict, _key_json, criterion_check,
+                        report_to_json, spectrum_key, walk_matrix)
 from .graphs import (ENUMERATION_CAP, Graph, GraphParseError, encode_graph6,
                      enumerate_graphs, parse_edge_list, parse_graph6)
 from .linalg import smith_divisors
@@ -355,13 +356,11 @@ def cmd_snf(ns: argparse.Namespace) -> int:
 
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     g = _load_graph(ns)
-    key = spectrum_key(g, ns.alpha)
     _emit({
         "schema": 1,
         "n": g.n,
         "alpha": str(ns.alpha),
-        "poly": [str(c) for c in key.poly],
-        "poly_complement": [str(c) for c in key.poly_complement],
+        **_key_json(spectrum_key(g, ns.alpha)),
     }, ns.output)
     return EXIT_CERTIFIED
 
@@ -385,8 +384,7 @@ def cmd_mates(ns: argparse.Namespace) -> int:
             "nontrivial_count": len(nontrivial),
             "classes": ({
                 "members": [encode_graph6(g) for g in c.members],
-                "poly": [str(x) for x in c.key.poly],
-                "poly_complement": [str(x) for x in c.key.poly_complement],
+                **_key_json(c.key),
             } for c in nontrivial),
         }, ns.output)
     return EXIT_CERTIFIED
@@ -415,9 +413,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         _config(ns)
-        return ns.run(ns)
+        code = ns.run(ns)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except SystemExit as exc:  # argparse printed help and exited
         return exc.code
+    except BrokenPipeError:  # the reader closed stdout: nothing to report
+        # point stdout at devnull, so the interpreter's final flush of what
+        # is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except (UsageError, GraphParseError, PoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

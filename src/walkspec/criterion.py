@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from . import numtheory
 from .graphs import Graph, degree_vector, is_connected
@@ -112,17 +112,106 @@ def walk_matrix(g: Graph, alpha: AlphaParam) -> IntMatrix:
     return IntMatrix(list(zip([1] * g.n, *islice(_power_columns(g, alpha), g.n - 1))))
 
 
-class SpectrumKey(NamedTuple):
+# an integer's code: a header byte, 0x80 + size for x >= 0, where size is
+# the byte length of |x| (0 for x = 0), then |x| big-endian in size bytes;
+# a size of 127 or more takes the escape header 0xFF and then the size in 8
+# bytes. A negative x is coded as |x| with every byte complemented, which
+# makes its header 0x7F - size (0x00 when escaped) and its magnitude
+# 2^(8 size) - 1 + x. Byte order is then integer order, and no code is a
+# prefix of another, so concatenated codes compare as the integer tuples do.
+_ESCAPE_SIZE = 127
+_NOT = bytes(range(255, -1, -1))
+
+
+def _pack(coefficients: Iterable[int]) -> bytearray:
+    """The codes of the integers, one after another."""
+    out = bytearray()
+    for x in coefficients:
+        size = (x.bit_length() + 7) // 8
+        if size < _ESCAPE_SIZE:  # header and magnitude as one number
+            code = ((0x80 + size << 8 * size) + x if x >= 0
+                    else (0x80 - size << 8 * size) - 1 + x)
+            out += code.to_bytes(size + 1, "big")
+        else:
+            code = b"\xff" + size.to_bytes(8, "big") + abs(x).to_bytes(size, "big")
+            out += code if x >= 0 else code.translate(_NOT)
+    return out
+
+
+def _escaped_size(data: bytes, i: int) -> int:
+    """The size written after the escape header at data[i]."""
+    size = data[i + 1:i + 9]
+    return int.from_bytes(size if data[i] else size.translate(_NOT), "big")
+
+
+def _stops(data: bytes) -> Iterator[int]:
+    """Where each code in data ends, read from the headers alone."""
+    i, end = 0, len(data)
+    while i < end:
+        head = data[i]
+        if 0 < head < 0xFF:
+            i += 1 + (head - 0x80 if head > 0x7F else 0x7F - head)
+        else:
+            i += 9 + _escaped_size(data, i)
+        yield i
+
+
+def _unpack(data: bytes) -> list[int]:
+    """The integers whose codes _pack wrote into data."""
+    out = []
+    append, from_bytes = out.append, int.from_bytes  # local: once per printed key
+    i, end = 0, len(data)
+    while i < end:
+        head = data[i]
+        if 0 < head < 0xFF:
+            start = i + 1
+            i = start + (head - 0x80 if head > 0x7F else 0x7F - head)
+        else:
+            start = i + 9
+            i = start + _escaped_size(data, i)
+        x = from_bytes(data[start:i], "big")
+        append(x if head > 0x7F else x + 1 - (1 << 8 * (i - start)))
+    return out
+
+
+def _poly_codes(key: SpectrumKey) -> bytes:
+    """The codes of key.poly, found without decoding: two keys of one order
+    share them exactly when they share poly."""
+    stops = list(_stops(key))
+    return key[:stops[len(stops) // 2 - 1]]
+
+
+class SpectrumKey(bytes):
     """Characteristic polynomials (ascending coefficients) of the scaled
     matrix for the graph and for its complement; equal keys mean equal
     generalized alpha-spectra.
 
-    spectrum_key computes poly directly and derives poly_complement from
-    poly and the walk moments; see there.
+    The key is one byte string, the codes (see _pack) of poly's
+    coefficients and then of poly_complement's, so keys of one order are
+    equal and sort exactly as the (poly, poly_complement) tuples would, in
+    a fifth of their memory or less. spectrum_key computes poly directly
+    and derives poly_complement from poly and the walk moments; see there.
     """
 
-    poly: tuple[int, ...]
-    poly_complement: tuple[int, ...]
+    __slots__ = ()
+
+    @property
+    def poly(self) -> tuple[int, ...]:
+        coefficients = _unpack(self)
+        return tuple(coefficients[:len(coefficients) // 2])
+
+    @property
+    def poly_complement(self) -> tuple[int, ...]:
+        coefficients = _unpack(self)
+        return tuple(coefficients[len(coefficients) // 2:])
+
+
+def _key_json(key: SpectrumKey) -> dict[str, list[str]]:
+    """The key's two polynomials, coefficients as decimal strings, from one
+    decoding."""
+    coefficients = list(map(str, _unpack(key)))
+    half = len(coefficients) // 2
+    return {"poly": coefficients[:half], "poly_complement": coefficients[half:]}
 
 
 def spectrum_key(g: Graph, alpha: AlphaParam) -> SpectrumKey:
@@ -142,7 +231,7 @@ def spectrum_key(g: Graph, alpha: AlphaParam) -> SpectrumKey:
     c = alpha.c_alpha
     p = charpoly(alpha_matrix(g, alpha))
     mu = [n, *(c * sum(v) for v in islice(_power_columns(g, alpha), n - 1))]
-    return SpectrumKey(p, _complement_charpoly(p, mu, alpha))
+    return SpectrumKey(_pack(p + _complement_charpoly(p, mu, alpha)))
 
 
 def _complement_charpoly(p: tuple[int, ...], mu: list[int],

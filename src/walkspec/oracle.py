@@ -21,8 +21,9 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import numtheory
-from .criterion import (AlphaParam, SpectrumKey, Verdict, alpha_matrix,
-                        criterion_check, spectrum_key, walk_matrix)
+from .criterion import (AlphaParam, SpectrumKey, Verdict, _key_json,
+                        _poly_codes, alpha_matrix, criterion_check,
+                        spectrum_key, walk_matrix)
 from .graphs import CANONICAL_CAP, Graph, canonical_form, encode_graph6
 from .linalg import IntMatrix, smith_divisors, solve_fraction_free
 from .numtheory import _ordered_map
@@ -108,7 +109,7 @@ def _plain_only_classes(classes: Iterable[MateClass]) -> list[tuple[Graph, ...]]
     share a graph polynomial, ordered by canonical form. The classes come
     sorted by key, so those sharing a polynomial are adjacent; graphs with
     different keys are never isomorphic, so no member needs dedup."""
-    runs = (list(run) for _, run in groupby(classes, lambda cls: cls.key.poly))
+    runs = (list(run) for _, run in groupby(classes, lambda cls: _poly_codes(cls.key)))
     groups = [[g for cls in run for g in cls.members] for run in runs if len(run) > 1]
     members = [g for grp in groups for g in grp]
     form = dict(zip(members, _forms(members)))
@@ -307,8 +308,7 @@ def verification_to_json(report: VerificationReport) -> dict:
         "graph_count": report.graph_count,
         "class_count": len(report.classes),
         "classes": ({
-            "poly": list(map(str, cls.key.poly)),
-            "poly_complement": list(map(str, cls.key.poly_complement)),
+            **_key_json(cls.key),
             "members": [next(names) for _ in cls.members],
         } for cls in report.classes),
         "verdicts": ([g6, v.value] for g6, v in report.verdicts),

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -948,6 +949,44 @@ def test_help_returns_from_main(capsys):
         assert code == 0, argv
         assert out.startswith("usage: walkspec"), argv
         assert err == "", argv
+
+
+# a reader that closes stdout at once: verify-theorem's JSON and batch's
+# JSONL outrun stdout's buffer, so the write in the command raises; check's
+# table fits it, so the flush at the end of main does
+CLOSED_STDOUT_ARGV = (
+    ("verify-theorem", "--n", "6", "--alpha", "0", "--output", "json"),
+    ("batch", "--alpha", "0", "-"),
+    ("check", "--alpha", "0", "--graph", "E@Uw"),
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGV, ids=lambda argv: argv[0])
+def test_a_closed_stdout_ends_the_command_quietly(argv):
+    """Exit 64, the I/O code, with nothing on stderr, and no process left:
+    the command and every worker it forked hold the write end of a pipe, so
+    the pipe reads end-of-file only once all of them have exited. batch's 64
+    lines make 4 batches, so it forks where two or more CPUs are free."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out_r, out_w = os.pipe()
+    os.close(out_r)
+    alive_r, alive_w = os.pipe()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "walkspec.cli", *argv],
+                              input=(G14 + "\n") * 64, stdout=out_w,
+                              stderr=subprocess.PIPE, env=env, text=True,
+                              pass_fds=(alive_w,), timeout=60)
+    finally:
+        os.close(out_w)
+        os.close(alive_w)
+    try:
+        assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "")
+        assert select.select([alive_r], [], [], 10)[0], "a process outlived its command"
+        assert os.read(alive_r, 1) == b""
+    finally:
+        os.close(alive_r)
 
 
 def test_start_up_imports_no_worker_machinery():

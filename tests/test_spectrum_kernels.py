@@ -17,13 +17,15 @@ checked against the IntMatrix product construction they replaced.
 
 import random
 from math import comb
+from operator import itemgetter
 
 import pytest
 
 from conftest import (HARD_ALPHA, complement, random_graph,
                       reference_alpha_matrix, reference_charpoly,
                       reference_walk_matrix, reference_walk_moments)
-from walkspec.criterion import (AlphaParam, _complement_charpoly, alpha_matrix,
+from walkspec.criterion import (AlphaParam, SpectrumKey, _complement_charpoly,
+                                _pack, _poly_codes, _unpack, alpha_matrix,
                                 spectrum_key, walk_matrix)
 from walkspec.graphs import Graph, enumerate_graphs
 from walkspec.linalg import IntMatrix, charpoly
@@ -184,12 +186,19 @@ def test_charpoly_of_scaled_matrices_with_huge_entries():
 
 @pytest.mark.parametrize("alpha", ALPHAS, ids=str)
 def test_derived_complement_poly_exhaustive_small_orders(alpha):
+    # and the keys of one order, each held as one byte string, are equal and
+    # sort exactly as the (poly, poly_complement) tuples do
     for n in range(1, 8):
+        pairs = []
         for g in enumerate_graphs(n):
             key = spectrum_key(g, alpha)
-            assert key.poly == charpoly(alpha_matrix(g, alpha))
+            poly = charpoly(alpha_matrix(g, alpha))
+            assert key.poly == poly
             want = charpoly(alpha_matrix(complement(g), alpha))
             assert key.poly_complement == want, (g, alpha)
+            pairs.append((key, (poly, want)))
+        assert len({k for k, _ in pairs}) == len({t for _, t in pairs}) == len(set(pairs))
+        assert sorted(pairs) == sorted(pairs, key=itemgetter(1)), (n, alpha)
 
 
 def test_derived_complement_poly_random_pool():
@@ -200,6 +209,38 @@ def test_derived_complement_poly_random_pool():
             alpha = rng.choice(ALPHAS)
             want = charpoly(alpha_matrix(complement(g), alpha))
             assert spectrum_key(g, alpha).poly_complement == want, (g, alpha)
+
+
+def test_key_codes_order_as_integers_and_tuples():
+    """An integer's code decodes to it, codes sort as the integers do, and
+    concatenated codes compare and sort as the integer tuples do. Magnitudes
+    of 126 bytes take a one-byte header, of 127 bytes and more the escape."""
+    rng = random.Random(3039)
+    edges = [0, 1, 255, 256]
+    for size in (126, 127, 128):
+        edges += [1 << 8 * (size - 1), (1 << 8 * size) - 1]
+    ints = edges + [-x for x in edges]
+    ints += [rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 1200))
+             for _ in range(400)]
+    for x in ints:
+        assert _unpack(_pack([x])) == [x], x
+    assert sorted(ints, key=lambda x: bytes(_pack([x]))) == sorted(ints)
+    small = [-257, -256, -255, -1, 0, 1, 255, 256, 257]
+    tuples = [tuple(rng.choice((rng.choice(small), rng.choice(ints)))
+                    for _ in range(rng.randint(0, 4))) for _ in range(300)]
+    codes = {t: bytes(_pack(t)) for t in tuples}
+    for t in tuples:
+        assert _unpack(codes[t]) == list(t), t
+        u = rng.choice(tuples)
+        assert (codes[t] < codes[u], codes[t] == codes[u]) == (t < u, t == u), (t, u)
+    assert sorted(tuples, key=codes.__getitem__) == sorted(tuples)
+    for _ in range(100):  # a key's two halves, decoded and split off
+        n = rng.randint(1, 5)
+        poly, poly_complement = (tuple(rng.choice(ints) for _ in range(n))
+                                 for _ in range(2))
+        key = SpectrumKey(_pack(poly + poly_complement))
+        assert (key.poly, key.poly_complement) == (poly, poly_complement)
+        assert _poly_codes(key) == _pack(poly)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS[:4] + (AlphaParam.parse(HARD_ALPHA),), ids=str)

@@ -174,64 +174,49 @@ def _unpack(data: bytes) -> list[int]:
     return out
 
 
-def _poly_codes(key: SpectrumKey) -> bytes:
-    """The codes of key.poly, found without decoding: two keys of one order
-    share them exactly when they share poly."""
+def _poly_codes(key: bytes) -> bytes:
+    """The codes of key's graph polynomial, found without decoding: two keys
+    of one order share them exactly when they share that polynomial."""
     stops = list(_stops(key))
     return key[:stops[len(stops) // 2 - 1]]
 
 
-class SpectrumKey(bytes):
-    """Characteristic polynomials (ascending coefficients) of the scaled
-    matrix for the graph and for its complement; equal keys mean equal
-    generalized alpha-spectra.
-
-    The key is one byte string, the codes (see _pack) of poly's
-    coefficients and then of poly_complement's, so keys of one order are
-    equal and sort exactly as the (poly, poly_complement) tuples would, in
-    a fifth of their memory or less. spectrum_key computes poly directly
-    and derives poly_complement from poly and the walk moments; see there.
-    """
-
-    __slots__ = ()
-
-    @property
-    def poly(self) -> tuple[int, ...]:
-        coefficients = _unpack(self)
-        return tuple(coefficients[:len(coefficients) // 2])
-
-    @property
-    def poly_complement(self) -> tuple[int, ...]:
-        coefficients = _unpack(self)
-        return tuple(coefficients[len(coefficients) // 2:])
-
-
-def _key_json(key: SpectrumKey) -> dict[str, list[str]]:
-    """The key's two polynomials, coefficients as decimal strings, from one
-    decoding."""
-    coefficients = list(map(str, _unpack(key)))
+def key_polynomials(key: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (poly, poly_complement) of a spectrum key, ascending coefficients."""
+    coefficients = _unpack(key)
     half = len(coefficients) // 2
-    return {"poly": coefficients[:half], "poly_complement": coefficients[half:]}
+    return tuple(coefficients[:half]), tuple(coefficients[half:])
 
 
-def spectrum_key(g: Graph, alpha: AlphaParam) -> SpectrumKey:
-    """Spectrum key from one characteristic polynomial and n walk moments.
+def _key_json(key: bytes) -> dict[str, list[str]]:
+    """The key's two polynomials, coefficients as decimal strings, from one decoding."""
+    poly, poly_complement = key_polynomials(key)
+    return {"poly": list(map(str, poly)), "poly_complement": list(map(str, poly_complement))}
 
-    The complement's scaled matrix is s*I + b*J - M with s = a(n-1) - b, so
-    its characteristic polynomial is (-1)^n q(s - x), where, by the matrix
-    determinant lemma, q(y) = det(yI - M + bJ) = p(y) + b 1^T adj(yI - M) 1
-    for p = charpoly(M). Cayley-Hamilton gives
-    adj(yI - M) = sum_{i=1..n} p_i sum_{k<i} y^(i-1-k) M^k, so the second
-    term needs only the moments mu_k = 1^T M^k 1: mu_0 = n, and, since
-    M1 = c*d, mu_k = c * 1^T M^(k-1) d, c times the sum of column k of the
-    walk matrix. All of it is integer arithmetic, and the result equals the
-    characteristic polynomial of the complement's scaled matrix.
+
+def spectrum_key(g: Graph, alpha: AlphaParam) -> bytes:
+    """Characteristic polynomials poly and poly_complement of the scaled
+    matrix for the graph and for its complement, as one byte string: the
+    codes (see _pack) of their ascending coefficients, one after the other.
+    Equal keys mean equal generalized alpha-spectra; keys of one order are
+    equal, and sort, exactly as their (poly, poly_complement) tuples do.
+    key_polynomials decodes a key.
+
+    poly is computed directly. The complement's scaled matrix is
+    s*I + b*J - M with s = a(n-1) - b, so poly_complement is (-1)^n q(s - x),
+    where, by the matrix determinant lemma,
+    q(y) = det(yI - M + bJ) = p(y) + b 1^T adj(yI - M) 1 for p = charpoly(M).
+    Cayley-Hamilton gives adj(yI - M) = sum_{i=1..n} p_i sum_{k<i}
+    y^(i-1-k) M^k, so the second term needs only the moments
+    mu_k = 1^T M^k 1: mu_0 = n, and, since M1 = c*d, mu_k = c * 1^T M^(k-1) d,
+    c times the sum of column k of the walk matrix. All of it is integer
+    arithmetic.
     """
     n = g.n
     c = alpha.c_alpha
     p = charpoly(alpha_matrix(g, alpha))
     mu = [n, *(c * sum(v) for v in islice(_power_columns(g, alpha), n - 1))]
-    return SpectrumKey(_pack(p + _complement_charpoly(p, mu, alpha)))
+    return bytes(_pack(p + _complement_charpoly(p, mu, alpha)))
 
 
 def _complement_charpoly(p: tuple[int, ...], mu: list[int],

@@ -190,12 +190,21 @@ def encode_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _integer(token: str) -> int:
+    """int(token) for ASCII digits after an optional sign, which int() alone
+    would widen to underscores and every Unicode decimal digit."""
+    digits = token[1:] if token[0] in "+-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     tokens = text.split()
     if not tokens:
         raise GraphParseError("empty edge-list input")
     try:
-        n = int(tokens[0])
+        n = _integer(tokens[0])
     except ValueError:
         raise GraphParseError(f"vertex count {tokens[0]!r} is not an integer") from None
     rest = tokens[1:]
@@ -204,7 +213,7 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     for k in range(0, len(rest), 2):
         try:
-            u, v = int(rest[k]), int(rest[k + 1])
+            u, v = _integer(rest[k]), _integer(rest[k + 1])
         except ValueError:
             raise GraphParseError(
                 f"edge tokens {rest[k]!r} {rest[k + 1]!r} are not integers"

@@ -21,9 +21,9 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import numtheory
-from .criterion import (AlphaParam, SpectrumKey, Verdict, _key_json,
-                        _poly_codes, alpha_matrix, criterion_check,
-                        spectrum_key, walk_matrix)
+from .criterion import (AlphaParam, Verdict, _key_json, _poly_codes,
+                        alpha_matrix, criterion_check, spectrum_key,
+                        walk_matrix)
 from .graphs import CANONICAL_CAP, Graph, canonical_form, encode_graph6
 from .linalg import IntMatrix, smith_divisors, solve_fraction_free
 from .numtheory import _ordered_map
@@ -38,11 +38,11 @@ class PoolError(ValueError):
     than canonical forms support."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MateClass:
     """All pairwise non-isomorphic graphs sharing one spectrum key."""
 
-    key: SpectrumKey
+    key: bytes
     members: tuple[Graph, ...]
 
     @property
@@ -96,7 +96,7 @@ def find_mate_classes(graphs: Iterable[Graph], alpha: AlphaParam) -> list[MateCl
                              "spectrum key", _PER_BATCH))
     shared = Counter(keys)
     forms = _forms([g for g, key in zip(pool, keys) if shared[key] > 1])
-    reps: dict[tuple[SpectrumKey, bytes | None], Graph] = {}
+    reps: dict[tuple[bytes, bytes | None], Graph] = {}
     for g, key in zip(pool, keys):
         reps.setdefault((key, next(forms) if shared[key] > 1 else None), g)
     return [MateClass(key, tuple(reps[rep] for rep in run))

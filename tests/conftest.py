@@ -13,6 +13,7 @@ from typing import Sequence
 import pytest
 
 from walkspec import cli
+from walkspec.criterion import key_polynomials
 from walkspec.graphs import (Graph, GraphParseError, _canonical_rows,
                              _encode_order, degree_vector, encode_graph6,
                              parse_graph6)
@@ -754,9 +755,10 @@ def reference_verification_json(report: VerificationReport) -> dict:
     names = (g6 for g6, _ in report.verdicts)
     classes = []
     for cls in report.classes:
+        key_poly, key_poly_complement = key_polynomials(cls.key)
         classes.append({
-            "poly": poly(cls.key.poly),
-            "poly_complement": poly(cls.key.poly_complement),
+            "poly": poly(key_poly),
+            "poly_complement": poly(key_poly_complement),
             "members": [next(names) for _ in cls.members],
         })
     pairs = []

@@ -1,6 +1,8 @@
 """Walk matrices and the arithmetic certification criterion."""
 
+import gc
 import json
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -17,6 +19,7 @@ from walkspec.criterion import (
     Verdict,
     alpha_matrix,
     criterion_check,
+    key_polynomials,
     report_to_json,
     spectrum_key,
     walk_matrix,
@@ -197,8 +200,12 @@ def test_walk_matrix_hand_values():
 def test_spectrum_key_hand_value():
     k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
     key = spectrum_key(k3, ALPHA_ZERO)
-    assert key.poly == (-2, -3, 0, 1)
-    assert key.poly_complement == (0, 0, 0, 1)
+    assert key_polynomials(key) == ((-2, -3, 0, 1), (0, 0, 0, 1))
+    # a plain byte string: no collector tracking, no pickling by copyreg
+    assert type(key) is bytes
+    assert not gc.is_tracked(key)
+    copy = pickle.loads(pickle.dumps(key))
+    assert type(copy) is bytes and copy == key
 
 
 def test_spectrum_key_complement_duality_and_invariance():
@@ -208,8 +215,8 @@ def test_spectrum_key_complement_duality_and_invariance():
         alpha = rng.choice(ALPHAS)
         key = spectrum_key(g, alpha)
         flipped = spectrum_key(complement(g), alpha)
-        assert (flipped.poly, flipped.poly_complement) == (key.poly_complement,
-                                                          key.poly)
+        poly, poly_complement = key_polynomials(key)
+        assert key_polynomials(flipped) == (poly_complement, poly)
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert spectrum_key(relabel(g, perm), alpha) == key

@@ -51,6 +51,24 @@ def test_graph_normalizes_and_validates():
     with pytest.raises(GraphParseError) as exc:
         parse_edge_list("3 0 0 1 x")
     assert str(exc.value) == "edge tokens '1' 'x' are not integers"
+    # a token is ASCII digits after an optional sign: int() alone would read
+    # underscores and every Unicode decimal digit, Arabic-Indic or fullwidth
+    tokens = [
+        ("5 0 0_4", "edge tokens '0' '0_4' are not integers"),
+        ("1_0", "vertex count '1_0' is not an integer"),
+        ("٥ ٠ ١", "vertex count '٥' is not an integer"),
+        ("5 ٠ ١", "edge tokens '٠' '١' are not integers"),
+        ("５ 0 1", "vertex count '５' is not an integer"),
+        ("5 0 １", "edge tokens '0' '１' are not integers"),
+        ("5 0 1.0", "edge tokens '0' '1.0' are not integers"),
+        ("5 0 +-1", "edge tokens '0' '+-1' are not integers"),
+        ("3 0 -1", "edge (0, -1) out of range for 3 vertices"),  # Graph's message
+    ]
+    for text, message in tokens:
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message, text
+    assert parse_edge_list("+3 +0 2 1 -0") == Graph(3, [(0, 2), (1, 0)])
 
 
 def test_edges_are_the_sorted_normalized_input():

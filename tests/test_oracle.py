@@ -9,7 +9,7 @@ from conftest import (FIXTURES, at_each_worker_count, emitted_json,
                       random_graph, relabel)
 from walkspec import numtheory, oracle
 from walkspec.criterion import (ALPHA_HALF, ALPHA_ZERO, AlphaParam, Verdict,
-                                spectrum_key, walk_matrix)
+                                key_polynomials, spectrum_key, walk_matrix)
 from walkspec.graphs import (
     Graph,
     canonical_form,
@@ -103,10 +103,12 @@ def test_grouping_matches_canonicalizing_every_graph(alpha):
         by_key.setdefault(key, {}).setdefault(canonical_form(g), g)
     expected = [(key, tuple(reps[f] for f in sorted(reps)))
                 for key, reps in sorted(by_key.items())]
-    assert [(c.key, c.members) for c in find_mate_classes(pool, alpha)] == expected
+    classes = find_mate_classes(pool, alpha)
+    assert [(c.key, c.members) for c in classes] == expected
+    assert not any(hasattr(c, "__dict__") for c in classes)  # slots only
     by_poly = {}
     for key, members in expected:
-        by_poly.setdefault(key.poly, []).extend(
+        by_poly.setdefault(key_polynomials(key)[0], []).extend(
             (canonical_form(g), key, g) for g in members)
     plain = [tuple(g for _, _, g in sorted(grp, key=lambda t: t[0]))
              for _, grp in sorted(by_poly.items())
